@@ -20,7 +20,7 @@ JSON-Schema checker covering type/properties/required/items).
 With ``--enforce-budget`` the run also gates on
 ``benchmarks/bench_budgets.json``: the hot stages (initial +
 dependency_merge — the merge kernels this repo keeps optimizing) must
-stay under their checked-in fraction of the batched backend's wall
+stay under their checked-in fraction of the columnar backend's wall
 time, so a regression that quietly reintroduces per-candidate overhead
 fails CI instead of surfacing as a slow chart later.
 """
@@ -263,8 +263,7 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
     timings = {}
     structures = {}
     ab_stats = {}
-    backends = (["python"]
-                + (["columnar", "columnar_batched"] if HAVE_NUMPY else []))
+    backends = ["python"] + (["columnar"] if HAVE_NUMPY else [])
     for backend in backends:
         backend_opts = PipelineOptions(backend=backend)
         best = None
@@ -282,21 +281,17 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
 
     if HAVE_NUMPY:
         py = structures["python"]
-        identical = all(
-            py.step_of_event == structures[b].step_of_event
-            and py.phase_of_event == structures[b].phase_of_event
-            for b in ("columnar", "columnar_batched")
-        )
+        col = structures["columnar"]
+        identical = (py.step_of_event == col.step_of_event
+                     and py.phase_of_event == col.phase_of_event)
         speedup = timings["python"] / timings["columnar"]
-        speedup_batched = timings["python"] / timings["columnar_batched"]
     else:
         identical = True  # vacuous: only one backend exists to compare
-        speedup = speedup_batched = 1.0
-    say(f"A/B speedup: columnar {speedup:.2f}x, "
-        f"batched {speedup_batched:.2f}x, identical={identical}")
+        speedup = 1.0
+    say(f"A/B speedup: columnar {speedup:.2f}x, identical={identical}")
 
     # Hot-stage budget: the merge kernels (initial + dependency_merge)
-    # against their checked-in fraction of batched wall time.
+    # against their checked-in fraction of columnar wall time.
     budgets = json.loads(BUDGETS_PATH.read_text())
     hot_stages = budgets["hot_stages"]
     budget_backend = budgets["backend"] if HAVE_NUMPY else "python"
@@ -406,10 +401,7 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
             "python_seconds": round(timings["python"], 6),
             "columnar_seconds": round(
                 timings.get("columnar", timings["python"]), 6),
-            "columnar_batched_seconds": round(
-                timings.get("columnar_batched", timings["python"]), 6),
             "speedup": round(speedup, 4),
-            "speedup_batched": round(speedup_batched, 4),
             "identical": identical,
         },
         "budget": {
@@ -453,7 +445,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="where to write the JSON record")
     parser.add_argument("--enforce-budget", action="store_true",
                         help="fail if the hot stages exceed the checked-in "
-                             "fraction of batched wall time "
+                             "fraction of columnar wall time "
                              "(benchmarks/bench_budgets.json)")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)

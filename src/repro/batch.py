@@ -552,84 +552,6 @@ def _pipe_worker(conn, worker, source: BatchSource,
         conn.close()
 
 
-def _map_worker(conn, fn, payload) -> None:
-    """Child-process entry for :func:`map_in_processes`."""
-    try:
-        conn.send(("ok", fn(payload)))
-    except Exception as exc:
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:  # repro-lint: disable=EXC001 reason=pipe already broken: the error report cannot be delivered and the parent records the silent exit as a crash
-            pass  # parent treats the silent exit as a crash
-    finally:
-        conn.close()
-
-
-def map_in_processes(fn, payloads, workers: int) -> list:
-    """Ordered process-pool map over ``fn`` with crash containment.
-
-    The shared fan-out primitive for in-pipeline parallelism (the
-    PE-sharded initial build uses it): results come back in input order;
-    a worker that raises or dies aborts the map with ``RuntimeError`` so
-    the caller's fallback ladder — not a torn result — decides what
-    happens next.  ``fn`` must be a top-level callable and the payloads
-    picklable.  ``workers <= 1`` (or a single payload) runs serially
-    in-process, bit-identically.
-    """
-    payloads = list(payloads)
-    if workers <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    ctx = _mp.get_context()
-    results: list = [None] * len(payloads)
-    waiting: Deque[int] = deque(range(len(payloads)))
-    active: Dict[object, Tuple[int, object]] = {}
-    try:
-        while waiting or active:
-            while waiting and len(active) < workers:
-                i = waiting.popleft()
-                parent, child = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_map_worker,
-                                   args=(child, fn, payloads[i]), daemon=True)
-                proc.start()
-                child.close()
-                active[proc] = (i, parent)
-            _mp_connection.wait([rec[1] for rec in active.values()],
-                                timeout=0.05)
-            for proc in list(active):
-                i, parent = active[proc]
-                if parent.poll():  # result arrived (maybe just before death)
-                    try:
-                        status, value = parent.recv()
-                    except (EOFError, OSError):
-                        status, value = "error", "worker pipe closed early"
-                    proc.join()
-                    parent.close()
-                    del active[proc]
-                    if status != "ok":
-                        raise RuntimeError(
-                            f"map_in_processes worker {i} failed: {value}"
-                        )
-                    results[i] = value
-                elif not proc.is_alive():
-                    code = proc.exitcode
-                    proc.join()
-                    parent.close()
-                    del active[proc]
-                    raise RuntimeError(
-                        f"map_in_processes worker {i} exited with code "
-                        f"{code} before returning a result"
-                    )
-    finally:
-        for proc, (_i, parent) in active.items():
-            proc.terminate()
-            proc.join(1.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-            parent.close()
-    return results
-
-
 @dataclass
 class BatchResult:
     """Outcome of one source in a batch run."""

@@ -105,15 +105,10 @@ def add_pipeline_options(parser: argparse.ArgumentParser) -> None:
                         choices=["auto", "python", "columnar",
                                  "columnar_batched"],
                         default="auto",
-                        help="pipeline kernels: columnar_batched (NumPy + "
-                             "batched union-find merges), columnar (NumPy, "
-                             "per-candidate merges), or pure python; auto "
-                             "picks columnar_batched when NumPy is available")
-    parser.add_argument("--shard-workers", type=_positive_int, default=None,
-                        metavar="N",
-                        help="worker processes for the PE-sharded serial-"
-                             "block scan (columnar_batched backend only); "
-                             "result-neutral, default in-process")
+                        help="pipeline kernels: columnar (NumPy + batched "
+                             "union-find merges) or pure python; auto picks "
+                             "columnar when NumPy is available; "
+                             "columnar_batched is an alias of columnar")
     parser.add_argument("--repair", choices=["off", "warn", "fix"],
                         default="off",
                         help="pre-extraction trace repair: warn reports "
@@ -152,7 +147,6 @@ def pipeline_options_from_args(args: argparse.Namespace) -> PipelineOptions:
     return PipelineOptions(
         mode=args.mode, order=args.order, infer=args.infer,
         tie_break=args.tie_break, backend=args.backend,
-        shard_workers=args.shard_workers,
         repair=args.repair,
         on_error=args.on_error, checkpoint_dir=args.checkpoint_dir,
         stage_deadline=args.stage_deadline, max_rss_mb=args.max_rss_mb,

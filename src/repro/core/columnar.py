@@ -12,7 +12,9 @@ kernels while producing *bit-identical* results to the pure-Python code:
   instead of tens of thousands of tiny per-block sorts.
 * :class:`ColumnarPartitionState` — a :class:`PartitionState` whose
   derived views (``roots_array``, ``adjacency``, ``partition_events``,
-  ``partition_chares``, ``members``) are computed with array kernels.
+  ``partition_chares``, ``members``) are computed with array kernels and
+  whose merge rounds run as one batched union pass each
+  (:meth:`~ColumnarPartitionState.batch_union_pairs`).
 * Stage-5/6 kernels — physical ordering (argsort per chare), the
   reorder *w* clock (forest depth by pointer doubling), local-step
   propagation (segmented running-max fixed point), leap computation and
@@ -56,19 +58,20 @@ from repro.trace.model import Trace
 MAX_STEP_ROUNDS = 80
 
 
-#: Backends built on the NumPy kernels in this module; ``"auto"`` picks
-#: the batched one (the fastest member) when NumPy is importable.
+#: Accepted names of the backend built on this module.  ``"auto"`` picks
+#: it when NumPy is importable; ``"columnar_batched"`` is the name of a
+#: former variant, kept as an alias so existing scripts keep working.
 COLUMNAR_BACKENDS = ("columnar", "columnar_batched")
 
 
 def resolve_backend(name: str) -> str:
-    """Map a ``PipelineOptions.backend`` value to a concrete backend."""
+    """Map a ``PipelineOptions.backend`` value to "columnar" or "python"."""
     if name == "auto":
-        return "columnar_batched" if HAVE_NUMPY else "python"
+        return "columnar" if HAVE_NUMPY else "python"
     if name in COLUMNAR_BACKENDS:
         if not HAVE_NUMPY:
             raise RuntimeError(f"backend={name!r} requires numpy")
-        return name
+        return "columnar"
     if name == "python":
         return "python"
     raise ValueError(f"unknown backend {name!r}")
@@ -494,11 +497,14 @@ def runtime_related_array(trace: Trace, table: EventTable):
 
 
 class ColumnarPartitionState(PartitionState):
-    """Partition state with array-kernel derived views.
+    """Partition state with array-kernel derived views and merge rounds.
 
-    Only *views* change; the union-find, edge list, and every mutation
-    path are inherited, so the merge/inference stages run the same code
-    as the python backend and observe identical dict/set orders.
+    The union-find, edge list, and every per-pair mutation path are
+    inherited, so the inference stages run the same code as the python
+    backend and observe identical dict/set orders.  The presence of
+    :meth:`batch_union_pairs` is what switches :mod:`repro.core.merges`
+    onto the batched kernel: the stage bodies stay backend-agnostic and
+    duck-type the state.
     """
 
     def __init__(self, trace, init_events, init_runtime, init_block, event_init,
@@ -681,55 +687,54 @@ class ColumnarPartitionState(PartitionState):
         return succs, preds
 
     # -- merge-stage fast paths ----------------------------------------
-    def _message_merge_pairs(self):
+    def batch_union_pairs(self, a_ids, b_ids, *,
+                          same_class_only: bool = False) -> int:
+        """One merge round: union candidate pairs in order, return count.
+
+        :func:`repro.core.unionfind.batch_union` replays the sequential
+        union-by-size decisions bit-identically, so representative ids,
+        dict insertion orders and phase tie-breaks match the python
+        reference loops.
+        """
+        from repro.core.unionfind import batch_union
+
+        dsu = self.dsu
+        merged = batch_union(dsu.parent, dsu.size, self._root_runtime,
+                             a_ids, b_ids, same_class_only=same_class_only)
+        dsu.count -= merged
+        return merged
+
+    def _unmerged_same_class(self, a, b):
+        """The ``(a[i], b[i])`` pairs whose partitions differ but share a
+        class — the pairs a same-class merge round would union."""
+        if not len(a):
+            return a, b
+        roots = self.roots_np()
+        ra = roots[a]
+        rb = roots[b]
+        cls = np.asarray(self._root_runtime, np.bool_)
+        keep = (ra != rb) & (cls[ra] == cls[rb])
+        return a[keep], b[keep]
+
+    def message_merge_arrays(self):
         """(src, dst) arrays of the MESSAGE endpoints Algorithm 1 would
         union, in edge order.  Prefiltering against a root snapshot is
         valid because Algorithm 1 only performs same-class unions, so
         partition classes are constant for the duration of the stage."""
         src, dst, kind = self.edge_arrays()
         sel = kind == int(EdgeKind.MESSAGE)
-        empty = np.empty(0, np.int64)
-        if not sel.any():
-            return empty, empty
-        a = src[sel]
-        b = dst[sel]
-        roots = self.roots_np()
-        ra = roots[a]
-        rb = roots[b]
-        cls = np.asarray(self._root_runtime, np.bool_)
-        keep = (ra != rb) & (cls[ra] == cls[rb])
-        return a[keep], b[keep]
+        return self._unmerged_same_class(src[sel], dst[sel])
 
-    def _block_repair_pairs(self):
+    def block_repair_arrays(self):
         """(src, dst) arrays for repair rule 1 — BLOCK edges within one
         serial block whose classes re-agree; same static-class argument
-        as :meth:`_message_merge_pairs`."""
+        as :meth:`message_merge_arrays`."""
         src, dst, kind = self.edge_arrays()
         sel = kind == int(EdgeKind.BLOCK)
-        empty = np.empty(0, np.int64)
-        if not sel.any():
-            return empty, empty
         a = src[sel]
         b = dst[sel]
         same_block = self._init_block_arr[a] == self._init_block_arr[b]
-        a = a[same_block]
-        b = b[same_block]
-        roots = self.roots_np()
-        ra = roots[a]
-        rb = roots[b]
-        cls = np.asarray(self._root_runtime, np.bool_)
-        keep = (ra != rb) & (cls[ra] == cls[rb])
-        return a[keep], b[keep]
-
-    def message_merge_candidates(self) -> List[Tuple[int, int]]:
-        """MESSAGE edges whose endpoints dependency_merge would union."""
-        a, b = self._message_merge_pairs()
-        return list(zip(a.tolist(), b.tolist()))
-
-    def block_repair_candidates(self) -> List[Tuple[int, int]]:
-        """BLOCK edges dependency repair rule 1 would union."""
-        a, b = self._block_repair_pairs()
-        return list(zip(a.tolist(), b.tolist()))
+        return self._unmerged_same_class(a[same_block], b[same_block])
 
     def structural_succ_columns(self, blocks: Sequence[Block]):
         """(root(a), entry-of-b's-block, class(root(b)), root(b)) columns
@@ -757,39 +762,6 @@ class ColumnarPartitionState(PartitionState):
         return ra.tolist(), entry.tolist(), cls.tolist(), rb.tolist()
 
 
-class ColumnarBatchedPartitionState(ColumnarPartitionState):
-    """Columnar state whose merge rounds run as batched union passes.
-
-    The presence of :meth:`batch_union_pairs` (and the ``*_arrays``
-    candidate forms) is what switches :mod:`repro.core.merges` onto the
-    batched kernel — the stage bodies stay backend-agnostic and
-    duck-type the state, exactly like the per-candidate columnar fast
-    paths before it.  :func:`repro.core.unionfind.batch_union` replays
-    the sequential union-by-size decisions bit-identically, so
-    everything downstream (representative ids, dict insertion orders,
-    phase tie-breaks) is unchanged.
-    """
-
-    def batch_union_pairs(self, a_ids, b_ids, *,
-                          same_class_only: bool = False) -> int:
-        """One merge round: union candidate pairs in order, return count."""
-        from repro.core.unionfind import batch_union
-
-        dsu = self.dsu
-        merged = batch_union(dsu.parent, dsu.size, self._root_runtime,
-                             a_ids, b_ids, same_class_only=same_class_only)
-        dsu.count -= merged
-        return merged
-
-    def message_merge_arrays(self):
-        """Algorithm 1 candidate columns for :meth:`batch_union_pairs`."""
-        return self._message_merge_pairs()
-
-    def block_repair_arrays(self):
-        """Repair rule 1 candidate columns for :meth:`batch_union_pairs`."""
-        return self._block_repair_pairs()
-
-
 # ----------------------------------------------------------------------
 # Stage 1: initial partitions
 # ----------------------------------------------------------------------
@@ -812,116 +784,15 @@ def _absorb_flags(serial, pe, start, end, first_positions, absorb_tolerance):
     return absorb
 
 
-def _shard_absorb_worker(payload):
-    """Process-pool entry: absorb flags for one shard's column slices.
-
-    Top-level (picklable by reference) and fed nothing but NumPy column
-    slices — workers never deserialize a trace.  A trailing ``window``
-    switches the shard onto the incremental fold (streamed traces);
-    both kernels produce the same flags bit for bit.
-    """
-    serial, pe, start, end, first_positions, absorb_tolerance, window = payload
-    if window is not None:
-        from repro.core.streaming import absorb_flags_windowed
-
-        return absorb_flags_windowed(serial, pe, start, end, first_positions,
-                                     absorb_tolerance, window)
-    return _absorb_flags(serial, pe, start, end, first_positions,
-                         absorb_tolerance)
-
-
-def _concat_ranges(starts, lens):
-    """Concatenated ``[s, s + l)`` index ranges, fully vectorized."""
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, np.int64)
-    keep = lens > 0
-    s = starts[keep]
-    l = lens[keep]
-    offsets = np.r_[0, np.cumsum(l)[:-1]]
-    return np.repeat(s - offsets, l) + np.arange(total, dtype=np.int64)
-
-
-def pe_shard_plan(trace: Trace, xt: Optional[ExecTable] = None) -> List[List[int]]:
-    """Chare slots grouped by the PE of each chare's first execution.
-
-    A *slot* is a chare's position in ``trace.executions_by_chare``
-    iteration order.  Serial-block absorption depends only on adjacent
-    executions of one chare, so any grouping of whole chares is a valid
-    shard plan; grouping by home PE mirrors how the runtime laid the
-    work out and gives the multi-core path shards with balanced event
-    counts.  Chares without executions ride along in a ``-1`` shard.
-    """
-    if xt is None:
-        xt = ExecTable.of(trace)
-    plan: Dict[int, List[int]] = {}
-    for slot, exec_ids in enumerate(trace.executions_by_chare.values()):
-        pe = int(xt.pe[exec_ids[0]]) if exec_ids else -1
-        plan.setdefault(pe, []).append(slot)
-    return [shard for shard in plan.values() if shard]
-
-
-def _absorb_sharded(serial, pe, start, end, chare_starts, lens, shard_plan,
-                    absorb_tolerance, shard_workers, window=None):
-    """Stitch per-shard absorb flags into the global absorb array.
-
-    Each shard is a list of whole-chare slots; the predicate never
-    crosses a chare boundary (boundary positions are forced False both
-    globally and shard-locally), so the stitched result is equal to the
-    unsharded scan *by construction*, for every valid plan.  The plan
-    must cover every chare exactly once — validated here so a buggy
-    plan fails loudly instead of silently mis-partitioning.
-    """
-    total = len(serial)
-    absorb = np.zeros(total, np.bool_)
-    seen = np.zeros(len(lens), np.bool_)
-    shards = []
-    for shard in shard_plan:
-        slots = np.asarray(shard, np.int64)
-        if not len(slots):
-            continue
-        if seen[slots].any():
-            raise ValueError("shard plan assigns a chare to multiple shards")
-        seen[slots] = True
-        s = chare_starts[slots]
-        l = lens[slots]
-        pos = _concat_ranges(s, l)
-        if not len(pos):
-            continue
-        local_first = np.r_[0, np.cumsum(l)[:-1]]
-        local_first = local_first[local_first < len(pos)]
-        shards.append((pos, (serial[pos], pe[pos], start[pos], end[pos],
-                             local_first, absorb_tolerance, window)))
-    if not seen.all():
-        raise ValueError("shard plan must cover every chare exactly once")
-    if shard_workers is not None and shard_workers > 1 and len(shards) > 1:
-        # Imported lazily: repro.batch builds on the pipeline, which
-        # builds on this module.
-        from repro.batch import map_in_processes
-
-        results = map_in_processes(_shard_absorb_worker,
-                                   [payload for _, payload in shards],
-                                   workers=shard_workers)
-    else:
-        results = [_shard_absorb_worker(payload) for _, payload in shards]
-    for (pos, _payload), sub in zip(shards, results):
-        absorb[pos] = sub
-    return absorb
-
-
 def _scan_serial_blocks_columnar(trace: Trace, absorb_tolerance: float,
-                                 xt: ExecTable, shard_plan=None,
-                                 shard_workers: Optional[int] = None,
+                                 xt: ExecTable,
                                  window: Optional[int] = None):
     """Vectorized :func:`repro.core.initial.scan_serial_blocks`.
 
     The absorption decision depends only on the (previous, current)
     execution pair — never on accumulated group state — so the per-chare
-    scan reduces to pairwise boundary predicates, and with a
-    ``shard_plan`` (lists of whole-chare slots, see
-    :func:`pe_shard_plan`) the predicate evaluation shards cleanly —
-    optionally across processes via ``shard_workers``.  A ``window``
-    (set for chunk-ingested traces) folds the predicate incrementally
+    scan reduces to pairwise boundary predicates.  A ``window`` (set for
+    chunk-ingested traces) folds the predicate incrementally
     (:func:`repro.core.streaming.absorb_flags_windowed`) — same flags,
     bounded scan state.  Returns ``(block_of_exec_arr, xid_arr,
     group_starts, serial_seq)`` — group ``i`` owns the execution ids
@@ -942,21 +813,15 @@ def _scan_serial_blocks_columnar(trace: Trace, absorb_tolerance: float,
     pe = xt.pe[xid_arr]
     start = xt.start[xid_arr]
     end = xt.end[xid_arr]
-    if shard_plan is None:
-        chare_first = chare_starts[chare_starts < total]
-        if window is not None:
-            from repro.core.streaming import absorb_flags_windowed
+    chare_first = chare_starts[chare_starts < total]
+    if window is not None:
+        from repro.core.streaming import absorb_flags_windowed
 
-            absorb = absorb_flags_windowed(serial, pe, start, end,
-                                           chare_first, absorb_tolerance,
-                                           window)
-        else:
-            absorb = _absorb_flags(serial, pe, start, end, chare_first,
-                                   absorb_tolerance)
+        absorb = absorb_flags_windowed(serial, pe, start, end, chare_first,
+                                       absorb_tolerance, window)
     else:
-        absorb = _absorb_sharded(serial, pe, start, end, chare_starts, lens,
-                                 shard_plan, absorb_tolerance, shard_workers,
-                                 window=window)
+        absorb = _absorb_flags(serial, pe, start, end, chare_first,
+                               absorb_tolerance)
     starts = np.flatnonzero(~absorb)
     block_of_exec = np.full(xt.n, -1, np.int64)
     block_of_exec[xid_arr] = np.cumsum(~absorb) - 1
@@ -1075,34 +940,25 @@ def _message_edges_columnar(table: EventTable, event_init_arr,
 def build_initial_columnar(trace: Trace, mode: str = "charm",
                            absorb_tolerance: float = 1e-9,
                            relaxed_chain: bool = False, *,
-                           state_cls=None, shard_plan=None,
-                           shard_workers: Optional[int] = None,
                            window: Optional[int] = None) -> InitialStructure:
     """Columnar :func:`repro.core.initial.build_initial`.
 
     The absorption scan, block metadata, per-block event grouping,
     runtime-flag computation and run splitting are vectorized; the
     cross-block SDAG/CHAIN heuristics and message edges run the shared
-    python helpers.  ``state_cls``/``shard_plan``/``shard_workers`` are
-    the :func:`build_initial_batched` extension points; the defaults
-    reproduce the plain columnar backend.  ``window`` (the ingest chunk
-    window of a streamed trace) switches the absorption scan and the
-    partition-run split onto the incremental folds of
-    :mod:`repro.core.streaming` — partial partitions close window by
-    window, with identical output.
+    python helpers.  ``window`` (the ingest chunk window of a streamed
+    trace) switches the absorption scan and the partition-run split onto
+    the incremental folds of :mod:`repro.core.streaming` — partial
+    partitions close window by window, with identical output.
     """
     if mode not in ("charm", "mpi"):
         raise ValueError(f"unknown mode {mode!r}")
-    if state_cls is None:
-        state_cls = ColumnarPartitionState
     table = EventTable.of(trace)
     xt = ExecTable.of(trace)
     n = table.n
 
     block_of_exec_arr, xid_arr, gstarts, serial_seq = (
         _scan_serial_blocks_columnar(trace, absorb_tolerance, xt,
-                                     shard_plan=shard_plan,
-                                     shard_workers=shard_workers,
                                      window=window)
     )
     nb = len(gstarts)
@@ -1185,39 +1041,13 @@ def build_initial_columnar(trace: Trace, mode: str = "charm",
         chare_chain_edges(trace, blocks, event_init, mode, relaxed_chain, edges)
     _message_edges_columnar(table, event_init_arr, edges)
 
-    state = state_cls(
+    state = ColumnarPartitionState(
         trace, init_events, init_runtime, init_block, event_init, edges,
         table=table, event_init_arr=event_init_arr,
     )
     state.block_table = BlockTable(boe, len(blocks))
     return InitialStructure(blocks, LazyIntList(boe),
                             LazyIntList(block_of_exec_arr), state)
-
-
-def build_initial_batched(trace: Trace, mode: str = "charm",
-                          absorb_tolerance: float = 1e-9,
-                          relaxed_chain: bool = False,
-                          shard_workers: Optional[int] = None,
-                          shard_plan=None,
-                          window: Optional[int] = None) -> InitialStructure:
-    """Initial partitions for the ``columnar_batched`` backend.
-
-    Same columnar builder, two differences: the absorption scan is
-    sharded by PE (:func:`pe_shard_plan`; pass ``shard_plan`` to
-    override) with optional multi-process evaluation via
-    ``shard_workers``, and the resulting state is a
-    :class:`ColumnarBatchedPartitionState`, which switches the merge
-    stages onto the batched union-find kernel.  Output is bit-identical
-    to both other backends.
-    """
-    if shard_plan is None:
-        shard_plan = pe_shard_plan(trace, ExecTable.of(trace))
-    return build_initial_columnar(
-        trace, mode, absorb_tolerance, relaxed_chain,
-        state_cls=ColumnarBatchedPartitionState,
-        shard_plan=shard_plan, shard_workers=shard_workers,
-        window=window,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -6,22 +6,20 @@ no order over those partitions exists, so they must belong to one phase.
 Cycle merges are the only place application and runtime partitions may
 merge with each other (Section 3.1).
 
-Each stage supports three kernels, selected by duck-typing the state
-(so the stage bodies stay backend-agnostic) and by two knobs the
-pipeline's fallback ladder drives explicitly:
+Each stage runs one of two kernels, selected by duck-typing the state so
+the stage bodies stay backend-agnostic:
 
-* *batched* — the state exposes ``batch_union_pairs`` (the
-  ``columnar_batched`` backend): a whole merge round becomes one
-  :func:`repro.core.unionfind.batch_union` pass over candidate columns;
-* *columnar* — the state exposes vectorized candidate prefilters
-  (``message_merge_candidates`` et al.) but unions run per candidate;
-* *python reference* — plain loops over ``state.edges``.
+* *batched* — the state exposes ``batch_union_pairs`` (the ``columnar``
+  backend's :class:`~repro.core.columnar.ColumnarPartitionState`): the
+  candidate pairs are prefiltered vectorized and a whole merge round
+  becomes one :func:`repro.core.unionfind.batch_union` pass;
+* *python reference* — plain loops over ``state.edges``: the
+  differential oracle, and the pipeline's fallback rung, which forces
+  it with ``use_fast_path=False`` regardless of the state.
 
-``use_fast_path=False`` forces the reference loops regardless of the
-state's capabilities; ``use_batched=False`` allows the columnar
-prefilters but not the batched union kernel.  All three produce
-bit-identical results — the batched kernel replays the sequential
-union-by-size decisions exactly (see :mod:`repro.core.unionfind`).
+Both produce bit-identical results — the batched kernel replays the
+sequential union-by-size decisions exactly (see
+:mod:`repro.core.unionfind`).
 """
 
 from __future__ import annotations
@@ -32,16 +30,14 @@ from repro.core.initial import InitialStructure
 from repro.core.partition import EdgeKind, PartitionState
 
 
-def _batch_kernel(state: PartitionState, use_fast_path: bool,
-                  use_batched: bool):
-    """The state's batched-union entry point, or None if not in play."""
-    if not (use_fast_path and use_batched):
+def _batch_kernel(state: PartitionState, use_fast_path: bool):
+    """The state's batched-union entry point, or None for the python loops."""
+    if not use_fast_path:
         return None
     return getattr(state, "batch_union_pairs", None)
 
 
-def cycle_merge(state: PartitionState, *, use_fast_path: bool = True,
-                use_batched: bool = True) -> int:
+def cycle_merge(state: PartitionState, *, use_fast_path: bool = True) -> int:
     """Merge every strongly connected component of the partition graph.
 
     Returns the number of partitions eliminated.  Implemented with an
@@ -96,7 +92,7 @@ def cycle_merge(state: PartitionState, *, use_fast_path: bool = True,
                 if len(comp) > 1:
                     components.append(comp)
 
-    batch = _batch_kernel(state, use_fast_path, use_batched)
+    batch = _batch_kernel(state, use_fast_path)
     if batch is not None:
         if not components:
             return 0
@@ -117,8 +113,8 @@ def cycle_merge(state: PartitionState, *, use_fast_path: bool = True,
     return eliminated
 
 
-def dependency_merge(state: PartitionState, *, use_fast_path: bool = True,
-                     use_batched: bool = True) -> int:
+def dependency_merge(state: PartitionState, *,
+                     use_fast_path: bool = True) -> int:
     """Algorithm 1: merge partitions holding matched message endpoints.
 
     Only same-class (application/application or runtime/runtime) endpoints
@@ -127,22 +123,12 @@ def dependency_merge(state: PartitionState, *, use_fast_path: bool = True,
     restores the DAG afterwards.
     """
     merged = 0
-    batch = _batch_kernel(state, use_fast_path, use_batched)
-    arrays = (getattr(state, "message_merge_arrays", None)
-              if batch is not None else None)
-    candidates = (getattr(state, "message_merge_candidates", None)
-                  if use_fast_path else None)
-    if arrays is not None:
-        # Batched kernel: the same prefiltered candidate stream, unioned
-        # in one batch pass instead of per-candidate method calls.
-        merged += batch(*arrays())
-    elif candidates is not None:
-        # Columnar fast path: the same edges in the same order, with the
-        # root/class filter evaluated vectorized (classes are constant
-        # during this stage — only same-class unions happen here).
-        for a, b in candidates():
-            if state.union(a, b):
-                merged += 1
+    batch = _batch_kernel(state, use_fast_path)
+    if batch is not None:
+        # The same edges in the same order, with the root/class filter
+        # evaluated vectorized (classes are constant during this stage —
+        # only same-class unions happen here), unioned in one batch pass.
+        merged += batch(*state.message_merge_arrays())
     else:
         find = state.dsu.find
         for a, b, kind in list(state.edges):
@@ -154,13 +140,12 @@ def dependency_merge(state: PartitionState, *, use_fast_path: bool = True,
             if state.is_runtime(ra) == state.is_runtime(rb):
                 if state.union(ra, rb):
                     merged += 1
-    merged += cycle_merge(state, use_fast_path=use_fast_path,
-                          use_batched=use_batched)
+    merged += cycle_merge(state, use_fast_path=use_fast_path)
     return merged
 
 
-def repair_merge(initial: InitialStructure, *, use_fast_path: bool = True,
-                 use_batched: bool = True) -> int:
+def repair_merge(initial: InitialStructure, *,
+                 use_fast_path: bool = True) -> int:
     """Algorithm 2: restore merges lost to application/runtime splitting.
 
     Two complementary rules, followed by a cycle merge:
@@ -181,20 +166,12 @@ def repair_merge(initial: InitialStructure, *, use_fast_path: bool = True,
     state = initial.state
     find = state.dsu.find
     merged = 0
-    batch = _batch_kernel(state, use_fast_path, use_batched)
+    batch = _batch_kernel(state, use_fast_path)
 
     # Rule 1: adjacent pieces of each block (the BLOCK edges record the
     # within-serial-block happened-before relationships).
-    rule1_arrays = (getattr(state, "block_repair_arrays", None)
-                    if batch is not None else None)
-    rule1 = (getattr(state, "block_repair_candidates", None)
-             if use_fast_path else None)
-    if rule1_arrays is not None:
-        merged += batch(*rule1_arrays())
-    elif rule1 is not None:
-        for a, b in rule1():
-            if state.union(a, b):
-                merged += 1
+    if batch is not None:
+        merged += batch(*state.block_repair_arrays())
     else:
         for a, b, kind in state.edges:
             if kind != EdgeKind.BLOCK:
@@ -210,12 +187,10 @@ def repair_merge(initial: InitialStructure, *, use_fast_path: bool = True,
     # method of the serial block the successor piece came from.
     succ_groups: Dict[Tuple[int, int, bool], List[int]] = {}
     blocks = initial.blocks
-    columns = (getattr(state, "structural_succ_columns", None)
-               if use_fast_path else None)
-    if columns is not None:
+    if batch is not None:
         # Same keys in the same scan order; the root snapshot is taken
         # after rule 1 and no unions happen during the scan.
-        for ra, entry, cls, rb in zip(*columns(blocks)):
+        for ra, entry, cls, rb in zip(*state.structural_succ_columns(blocks)):
             succ_groups.setdefault((ra, entry, cls), []).append(rb)
     else:
         for a, b, kind in state.edges:
@@ -228,10 +203,10 @@ def repair_merge(initial: InitialStructure, *, use_fast_path: bool = True,
             key = (ra, entry, state.is_runtime(rb))
             succ_groups.setdefault(key, []).append(rb)
     if batch is not None:
-        # Batched rule 2: one (head, other) pair per group member, then
-        # a single same-class-gated batch pass.  The kernel re-roots and
-        # re-checks classes live, so unions from earlier groups are
-        # observed by later ones exactly as in the per-candidate loop.
+        # One (head, other) pair per group member, then a single
+        # same-class-gated batch pass.  The kernel re-roots and re-checks
+        # classes live, so unions from earlier groups are observed by
+        # later ones exactly as in the per-pair loop below.
         heads: List[int] = []
         others: List[int] = []
         for group in succ_groups.values():
@@ -253,6 +228,5 @@ def repair_merge(initial: InitialStructure, *, use_fast_path: bool = True,
                     if state.union(ra, rb):
                         merged += 1
 
-    merged += cycle_merge(state, use_fast_path=use_fast_path,
-                          use_batched=use_batched)
+    merged += cycle_merge(state, use_fast_path=use_fast_path)
     return merged

@@ -85,9 +85,6 @@ NON_RESULT_FIELDS = frozenset({
     "on_error",
     "stage_deadline",
     "max_rss_mb",
-    # Shard fan-out parallelism is result-neutral by construction (the
-    # stitched absorb flags equal the serial scan's bit for bit).
-    "shard_workers",
     # Ingestion mode only governs how a trace is materialized (eager
     # objects vs streamed columns); the streaming kernels are pinned
     # bit-identical, so the same file yields the same structure — and
@@ -97,7 +94,7 @@ NON_RESULT_FIELDS = frozenset({
 
 #: Context keys present before any stage runs (seeded by
 #: :func:`extract_logical_structure`); the stage graph's dataflow roots.
-SEED_KEYS = frozenset({"trace", "use_columnar", "use_batched"})
+SEED_KEYS = frozenset({"trace", "use_columnar"})
 
 #: Condition tokens a :class:`StageSignature` may name.  The concrete
 #: predicates close over the run's options, so the declarative graph
@@ -109,13 +106,9 @@ SEED_KEYS = frozenset({"trace", "use_columnar", "use_batched"})
 CONDITION_TOKENS = ("", "repair", "infer", "enforce")
 
 #: Fallback-gate tokens: ``"columnar"`` keeps the ladder only when the
-#: run actually selected a columnar-family backend (falling back from
-#: the python reference to itself would double-report one failure);
-#: ``"batched"`` keeps a ladder *rung* only when the run selected the
-#: batched backend (per-rung gating via ``StageSignature.ladder_gates``
-#: — a plain-columnar run falling back to plain columnar would likewise
-#: retry the failing kernel verbatim).
-FALLBACK_GATE_TOKENS = ("", "columnar", "batched")
+#: run actually selected the columnar backend (falling back from the
+#: python reference to itself would double-report one failure).
+FALLBACK_GATE_TOKENS = ("", "columnar")
 
 
 @dataclass(frozen=True)
@@ -139,13 +132,6 @@ class StageSignature:
     ``requires`` keys are *enforced* by the executor: when one is
     missing — an upstream degradable stage was skipped — the stage is
     skipped too instead of computing on stale defaults.
-
-    ``ladder_gates`` optionally gates individual rungs of ``fallbacks``
-    positionally: rung *i* is kept only when its token (empty = always)
-    is satisfied, on top of the stage-wide ``fallback_gate``.  This lets
-    one declared ladder serve several backends — e.g. the
-    ``columnar_batched`` ladder ``batched → columnar → python`` shrinks
-    to ``columnar → python`` for a plain-columnar run.
     """
 
     name: str
@@ -157,7 +143,6 @@ class StageSignature:
     condition: str = ""
     fallback_gate: str = ""
     requires: Tuple[str, ...] = ()
-    ladder_gates: Tuple[str, ...] = ()
 
 
 #: The extraction pipeline as declarative data, in execution order.
@@ -172,37 +157,29 @@ STAGE_GRAPH: Tuple[StageSignature, ...] = (
         condition="repair",
     ),
     StageSignature(
-        # The fallback rungs flip "use_batched" / "use_columnar" off so
-        # the rest of the run stays on one backend — hence both are
-        # outputs.  Downstream merge stages then pick their kernel by
-        # duck-typing the state the surviving rung built.
+        # The fallback rung flips "use_columnar" off so the rest of the
+        # run stays on one backend — hence it is an output.  Downstream
+        # merge stages then pick their kernel by duck-typing the state
+        # the surviving rung built.
         "initial", "st_initial",
-        inputs=("trace", "use_columnar", "use_batched"),
-        outputs=("initial", "state", "initial_partitions", "use_columnar",
-                 "use_batched"),
-        fallbacks=(("columnar", "st_initial_columnar"),
-                   ("python_reference", "st_initial_python")),
+        inputs=("trace", "use_columnar"),
+        outputs=("initial", "state", "initial_partitions", "use_columnar"),
+        fallbacks=(("python_reference", "st_initial_python"),),
         fallback_gate="columnar",
-        ladder_gates=("batched", ""),
     ),
     StageSignature(
-        # The rungs force progressively plainer merge kernels on the
-        # *same* state: batched union pass → per-candidate columnar
-        # loop → pure-python reference scan.
+        # The rung reruns the pure-python reference scan on the *same*
+        # state in place of the batched union pass.
         "dependency_merge", "st_dependency_merge",
         inputs=("state",), outputs=("state",),
-        fallbacks=(("columnar", "st_dependency_merge_columnar"),
-                   ("python_reference", "st_dependency_merge_python")),
+        fallbacks=(("python_reference", "st_dependency_merge_python"),),
         fallback_gate="columnar",
-        ladder_gates=("batched", ""),
     ),
     StageSignature(
         "repair_merge", "st_repair_merge",
         inputs=("initial", "state"), outputs=("state",),
-        fallbacks=(("columnar", "st_repair_merge_columnar"),
-                   ("python_reference", "st_repair_merge_python")),
+        fallbacks=(("python_reference", "st_repair_merge_python"),),
         fallback_gate="columnar",
-        ladder_gates=("batched", ""),
     ),
     StageSignature(
         "infer_sources", "st_infer_sources",
@@ -293,12 +270,7 @@ def build_stage_specs(
             condition = enabled[sig.condition]
         fallbacks: List[Tuple[str, StageFn]] = []
         if not sig.fallback_gate or fallback_gates.get(sig.fallback_gate):
-            for idx, (name, fn) in enumerate(sig.fallbacks):
-                gate = (sig.ladder_gates[idx]
-                        if idx < len(sig.ladder_gates) else "")
-                if gate and not fallback_gates.get(gate):
-                    continue
-                fallbacks.append((name, bodies[fn]))
+            fallbacks = [(name, bodies[fn]) for name, fn in sig.fallbacks]
         specs.append(StageSpec(
             sig.name, bodies[sig.body],
             inputs=sig.inputs, outputs=sig.outputs,
@@ -326,19 +298,13 @@ class PipelineOptions:
     tie_break: str = "chare_id"
     #: Gap tolerance for absorbing an entry method into a following serial.
     absorb_tolerance: float = 1e-9
-    #: Kernel backend: "columnar_batched" (NumPy array kernels plus the
-    #: batched union-find merge kernel and PE-sharded initial scan),
-    #: "columnar" (NumPy array kernels, per-candidate merges), "python"
-    #: (pure reference implementation), or "auto" — columnar_batched
-    #: when NumPy is available.  All backends produce bit-identical
-    #: structures; the differential harness cross-checks them.
+    #: Kernel backend: "columnar" (NumPy array kernels plus the batched
+    #: union-find merge kernel), "python" (pure reference
+    #: implementation), or "auto" — columnar when NumPy is available.
+    #: "columnar_batched" is accepted as an alias of "columnar".  Both
+    #: backends produce bit-identical structures; the differential
+    #: harness cross-checks them.
     backend: str = "auto"
-    #: Worker processes for the PE-sharded serial-block scan of the
-    #: "columnar_batched" backend; None / 0 / 1 keeps the scan
-    #: in-process.  Result-neutral by construction — the stitched
-    #: per-shard flags equal the serial scan's bit for bit — so it is
-    #: excluded from cache and checkpoint keys.
-    shard_workers: Optional[int] = None
     #: How :func:`repro.api.extract` materializes a path/stream source:
     #: "chunked" parses fixed-size windows straight into columnar
     #: buffers (streaming, bounded staging memory), "eager" builds the
@@ -390,8 +356,7 @@ class PipelineOptions:
         return "mpi" if trace.metadata.get("model") == "mpi" else "charm"
 
     def resolve_backend(self) -> str:
-        """Concrete backend for this run ("columnar_batched",
-        "columnar", or "python")."""
+        """Concrete backend for this run ("columnar" or "python")."""
         from repro.core.columnar import resolve_backend
 
         return resolve_backend(self.backend)
@@ -444,13 +409,12 @@ class PipelineStats:
     final_phases: int = 0
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     total_seconds: float = 0.0
-    #: Concrete backend the run selected ("columnar_batched",
-    #: "columnar", or "python").
+    #: Concrete backend the run selected ("columnar" or "python").
     backend: str = ""
     #: Kernel family each executed stage actually ran under, by stage
-    #: name — "columnar_batched", "columnar", or "python".  Differs from
-    #: ``backend`` after a mid-run downgrade by the fallback ladder;
-    #: which *rung* of which ladder ran is in ``degradation``.
+    #: name — "columnar" or "python".  Differs from ``backend`` after a
+    #: mid-run downgrade by the fallback ladder; which *rung* of which
+    #: ladder ran is in ``degradation``.
     stage_backends: Dict[str, str] = field(default_factory=dict)
     #: :meth:`repro.trace.repair.RepairReport.to_dict` of the ingestion
     #: repair pass, or None when ``options.repair == "off"``.
@@ -559,21 +523,12 @@ def extract_logical_structure(
         # A chunk-ingested trace advertises its ingest window; the
         # columnar kernels then fold the scan window by window
         # (bit-identical to the whole-array pass by construction).
-        window = getattr(ctx["trace"], "ingest_window", None)
-        if ctx["use_batched"]:
-            initial = _columnar().build_initial_batched(
-                ctx["trace"], mode=mode,
-                absorb_tolerance=opts.absorb_tolerance,
-                relaxed_chain=relaxed,
-                shard_workers=opts.shard_workers,
-                window=window,
-            )
-        elif ctx["use_columnar"]:
+        if ctx["use_columnar"]:
             initial = _columnar().build_initial_columnar(
                 ctx["trace"], mode=mode,
                 absorb_tolerance=opts.absorb_tolerance,
                 relaxed_chain=relaxed,
-                window=window,
+                window=getattr(ctx["trace"], "ingest_window", None),
             )
         else:
             initial = build_initial(
@@ -583,21 +538,9 @@ def extract_logical_structure(
             )
         _set_initial(ctx, initial)
 
-    def st_initial_columnar(ctx: dict) -> None:
-        # Batched kernel unusable for this trace: the whole run
-        # continues on the plain columnar backend (downstream merge
-        # stages duck-type their kernel off the state built here).
-        ctx["use_batched"] = False
-        _set_initial(ctx, _columnar().build_initial_columnar(
-            ctx["trace"], mode=mode, absorb_tolerance=opts.absorb_tolerance,
-            relaxed_chain=relaxed,
-            window=getattr(ctx["trace"], "ingest_window", None),
-        ))
-
     def st_initial_python(ctx: dict) -> None:
         # Columnar kernels unusable for this trace: the whole run
         # continues on the python reference implementation.
-        ctx["use_batched"] = False
         ctx["use_columnar"] = False
         _set_initial(ctx, build_initial(
             ctx["trace"], mode=mode, absorb_tolerance=opts.absorb_tolerance,
@@ -607,20 +550,14 @@ def extract_logical_structure(
     def st_dependency_merge(ctx: dict) -> None:
         dependency_merge(ctx["state"])
 
-    def st_dependency_merge_columnar(ctx: dict) -> None:
-        # Batched union kernel failed mid-stage: the executor restored
-        # the pre-stage state snapshot, so rerun with per-candidate
-        # columnar unions on the same state.
-        dependency_merge(ctx["state"], use_batched=False)
-
     def st_dependency_merge_python(ctx: dict) -> None:
+        # Batched union kernel failed mid-stage: the executor restored
+        # the pre-stage state snapshot, so rerun the reference loops on
+        # the same state.
         dependency_merge(ctx["state"], use_fast_path=False)
 
     def st_repair_merge(ctx: dict) -> None:
         repair_merge(ctx["initial"])
-
-    def st_repair_merge_columnar(ctx: dict) -> None:
-        repair_merge(ctx["initial"], use_batched=False)
 
     def st_repair_merge_python(ctx: dict) -> None:
         repair_merge(ctx["initial"], use_fast_path=False)
@@ -838,11 +775,9 @@ def extract_logical_structure(
     bodies: Dict[str, StageFn] = {
         fn.__name__: fn
         for fn in (
-            st_repair, st_initial, st_initial_columnar, st_initial_python,
-            st_dependency_merge, st_dependency_merge_columnar,
-            st_dependency_merge_python, st_repair_merge,
-            st_repair_merge_columnar, st_repair_merge_python,
-            st_infer_sources, st_leap_merge,
+            st_repair, st_initial, st_initial_python,
+            st_dependency_merge, st_dependency_merge_python,
+            st_repair_merge, st_repair_merge_python, st_infer_sources, st_leap_merge,
             st_order_overlapping, st_chare_paths, st_build_phases,
             st_build_phases_python, st_local_steps, st_local_steps_python,
             st_local_steps_physical, st_global_steps, st_global_steps_python,
@@ -850,7 +785,6 @@ def extract_logical_structure(
         )
     }
     use_columnar = backend != "python"
-    use_batched = backend == "columnar_batched"
     stages = build_stage_specs(
         bodies,
         enabled={
@@ -858,7 +792,7 @@ def extract_logical_structure(
             "infer": lambda ctx: enforce and opts.infer,
             "enforce": lambda ctx: enforce,
         },
-        fallback_gates={"columnar": use_columnar, "batched": use_batched},
+        fallback_gates={"columnar": use_columnar},
     )
 
     def observer(stage: str, seconds: float, ctx: dict) -> None:
@@ -866,8 +800,7 @@ def extract_logical_structure(
             stats.stage_seconds.get(stage, 0.0) + seconds
         )
         stats.stage_backends[stage] = (
-            "columnar_batched" if ctx.get("use_batched")
-            else "columnar" if ctx.get("use_columnar") else "python"
+            "columnar" if ctx.get("use_columnar") else "python"
         )
         structure = ctx.get("structure") if stage == "finalize" else None
         state = None if structure is not None else ctx.get("state")
@@ -905,7 +838,6 @@ def extract_logical_structure(
     ctx: Dict[str, object] = {
         "trace": trace,
         "use_columnar": use_columnar,
-        "use_batched": use_batched,
     }
     # The cyclic collector does pure wasted work during extraction (the
     # kernels allocate bursts of acyclic short-lived objects while the

@@ -7,7 +7,8 @@ one :meth:`~repro.core.partition.PartitionState.union` method call per
 candidate — two attribute lookups, two ``find`` calls, and a bounds
 check of Python bytecode per pair.  This module collapses a whole round
 into one :func:`batch_union` call over flat candidate columns, which is
-what the ``columnar_batched`` backend uses.
+the merge kernel of the ``columnar`` backend (see
+:meth:`repro.core.columnar.ColumnarPartitionState.batch_union_pairs`).
 
 Bit-identity is the design constraint, not an afterthought.  Which
 element ends up as a component's *representative* (DSU root) depends on

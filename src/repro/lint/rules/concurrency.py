@@ -201,9 +201,9 @@ class LockDisciplineRule(Rule):
 
 
 #: Modules CONC004 scopes to: the columnar merge-kernel layer, where a
-#: per-candidate union loop defeats the batched kernel.  The explicit
-#: per-candidate *fallback* rungs live in ``merges.py`` (out of scope,
-#: by design — they are the safety ladder, not the hot path).
+#: per-candidate union loop defeats the batched kernel.  The python
+#: reference loops live in ``merges.py`` (out of scope, by design — they
+#: are the oracle and the fallback rung, not the hot path).
 MERGE_KERNEL_BASENAMES = ("columnar.py", "unionfind.py")
 
 

@@ -22,11 +22,19 @@ from repro.core.pipeline import PipelineOptions
 #: artifact already exists is born ``done`` with ``cached: true``.
 JOB_STATES = ("queued", "running", "done", "failed", "expired")
 
-#: PipelineOptions fields a job may set.  ``hooks`` is process-local
-#: (not expressible in JSON); everything else round-trips.
+#: PipelineOptions fields a job may not set, with the reason its 400
+#: names.  ``hooks`` is not expressible in JSON.  ``checkpoint_dir``
+#: would let a client pick where the server writes pickled checkpoints
+#: and which files it unpickles on resume.
+REJECTED_FIELDS = {
+    "hooks": "is process-local",
+    "checkpoint_dir": "is a path on the server's filesystem",
+}
+
+#: PipelineOptions fields a job may set; everything else round-trips.
 OPTION_FIELDS = tuple(sorted(
     f.name for f in dataclasses.fields(PipelineOptions)
-    if f.name != "hooks"
+    if f.name not in REJECTED_FIELDS
 ))
 
 
@@ -43,16 +51,18 @@ def require_dict(payload, what: str) -> dict:
 def parse_options(fields: Optional[dict]) -> PipelineOptions:
     """Validate a job's ``options`` object into :class:`PipelineOptions`.
 
-    Unknown fields and ``hooks`` are rejected by name; value validation
-    beyond field existence is deferred to extraction (an invalid value
-    fails the job with the pipeline's own error message).
+    Unknown fields and :data:`REJECTED_FIELDS` are rejected by name;
+    value validation beyond field existence is deferred to extraction
+    (an invalid value fails the job with the pipeline's own error
+    message).
     """
     if fields is None:
         return PipelineOptions()
     fields = require_dict(fields, "options")
-    if "hooks" in fields:
-        raise SchemaError("options.hooks is process-local and cannot be "
-                          "set through the service")
+    for name, reason in REJECTED_FIELDS.items():
+        if name in fields:
+            raise SchemaError(f"options.{name} {reason} and cannot be "
+                              "set through the service")
     try:
         return PipelineOptions().with_overrides(**fields)
     except TypeError as exc:

@@ -93,10 +93,9 @@ def default_variants(
     """The standard matrix: order × infer, plus tie-break and backend twins.
 
     Base variants pin ``backend="python"`` — the reference implementation.
-    With ``backends=True`` (and NumPy available) columnar and
-    columnar_batched twins join the matrix; Fact 3 then asserts they are
-    *bit-identical* to their python counterparts, not merely
-    partition-equivalent.
+    With ``backends=True`` (and NumPy available) columnar twins join the
+    matrix; Fact 3 then asserts they are *bit-identical* to their python
+    counterparts, not merely partition-equivalent.
     """
     variants: List[Tuple[str, PipelineOptions]] = []
     for order in ("reordered", "physical"):
@@ -119,18 +118,6 @@ def default_variants(
         variants.append(
             ("physical/noinfer/columnar",
              PipelineOptions(order="physical", infer=False, backend="columnar"))
-        )
-        # Batched twins join the same Fact-3 twin groups as the python
-        # base and the columnar twin: all three must be bit-identical.
-        variants.append(
-            ("reordered/infer/columnar_batched",
-             PipelineOptions(order="reordered", infer=True,
-                             backend="columnar_batched"))
-        )
-        variants.append(
-            ("physical/noinfer/columnar_batched",
-             PipelineOptions(order="physical", infer=False,
-                             backend="columnar_batched"))
         )
     return variants
 

@@ -95,4 +95,4 @@ def test_stats_threaded_through(jacobi_trace):
     stats = api.PipelineStats()
     api.extract(jacobi_trace, stats=stats)
     assert stats.total_seconds > 0
-    assert stats.backend in ("python", "columnar", "columnar_batched")
+    assert stats.backend in ("python", "columnar")

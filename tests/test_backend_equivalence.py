@@ -1,13 +1,13 @@
-"""The columnar backends are pure implementation details.
+"""The columnar backend is a pure implementation detail.
 
-For every bundled proxy app, extracting with ``backend="python"``,
-``backend="columnar"``, and ``backend="columnar_batched"`` must assign
+For every bundled proxy app, extracting with ``backend="python"`` and
+``backend="columnar"`` (under either of its accepted names) must assign
 bit-identical steps and phases — not merely equivalent partitions.  The
 columnar kernels go out of their way to replay the python
 implementation's insertion and tie-break orders, and the batched
 union-find kernel replays the sequential union-by-size decision stream;
 this is the test that holds them to it, including on the fault corpus
-under ingestion repair and under PE-sharded multi-core partition builds.
+under ingestion repair.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from repro.trace.faults import FAULT_KINDS, inject_fault
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
 
-#: The non-reference backends; each must be bit-identical to "python".
+#: The accepted names of the non-reference backend ("columnar_batched" is
+#: a legacy alias); each must be bit-identical to "python".
 COLUMNAR_FAMILY = ("columnar", "columnar_batched")
 
 APPS = {
@@ -106,29 +107,14 @@ def test_backends_bit_identical_on_fault_corpus(kind):
 
 
 # ---------------------------------------------------------------------------
-# Multi-core partition build: sharding is result-neutral by construction.
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("workers", [1, 2])
-def test_shard_workers_bit_identical(workers):
-    trace = APPS["lulesh"]()
-    base = extract(trace, PipelineOptions(backend="columnar_batched"))
-    sharded = extract(trace, PipelineOptions(
-        backend="columnar_batched", shard_workers=workers))
-    assert base.step_of_event == sharded.step_of_event
-    assert base.phase_of_event == sharded.phase_of_event
-    assert base.local_step_of_event == sharded.local_step_of_event
-
-
-# ---------------------------------------------------------------------------
 # Stage reporting: stats must name the backend that actually ran per stage.
 # ---------------------------------------------------------------------------
 def test_stage_backend_stats_shape(jacobi_trace):
     stats = PipelineStats()
-    extract(jacobi_trace, PipelineOptions(backend="columnar_batched"),
-            stats=stats)
-    assert stats.backend == "columnar_batched"
+    extract(jacobi_trace, PipelineOptions(backend="columnar"), stats=stats)
+    assert stats.backend == "columnar"
     assert set(stats.stage_backends) == set(stats.stage_seconds)
-    assert set(stats.stage_backends.values()) == {"columnar_batched"}
+    assert set(stats.stage_backends.values()) == {"columnar"}
 
 
 def test_stage_backend_stats_python(jacobi_trace):
@@ -139,4 +125,32 @@ def test_stage_backend_stats_python(jacobi_trace):
 
 def test_auto_backend_selects_columnar(jacobi_trace):
     structure = extract(jacobi_trace, PipelineOptions(backend="auto"))
-    assert structure.options.resolve_backend() == "columnar_batched"
+    assert structure.options.resolve_backend() == "columnar"
+
+
+def _structure_bits(structure):
+    """Everything a backend could perturb, as plain comparable data."""
+    return (
+        structure.step_of_event,
+        structure.phase_of_event,
+        structure.local_step_of_event,
+        structure.chare_orders,
+        [(p.id, p.events, p.leap, p.offset, p.max_local_step,
+          sorted(p.preds), sorted(p.succs)) for p in structure.phases],
+    )
+
+
+def test_columnar_batched_is_an_alias_of_columnar(jacobi_trace):
+    # Old scripts name the former batched variant; it must run the one
+    # columnar backend and key caches, checkpoints and journals the same.
+    runs = {}
+    for name in ("columnar_batched", "columnar", "auto"):
+        options = PipelineOptions(backend=name)
+        assert options.resolve_backend() == "columnar"
+        stats = PipelineStats()
+        structure = extract(jacobi_trace, options, stats=stats)
+        assert stats.backend == "columnar"
+        assert set(stats.stage_backends.values()) == {"columnar"}
+        runs[name] = (options.result_token(), _structure_bits(structure))
+    assert len({token for token, _ in runs.values()}) == 1
+    assert len({repr(bits) for _, bits in runs.values()}) == 1

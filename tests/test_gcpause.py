@@ -86,7 +86,7 @@ def test_no_full_collections_during_batched_extraction():
     gc.collect()  # drain pending garbage so thresholds start fresh
     gc.callbacks.append(observer)
     try:
-        extract(trace, PipelineOptions(backend="columnar_batched"))
+        extract(trace, PipelineOptions(backend="columnar"))
     finally:
         gc.callbacks.remove(observer)
     assert not [c for c in collections if c["generation"] == 2]
@@ -112,7 +112,7 @@ def test_python_backend_keeps_collector_enabled():
         return gc.isenabled()
 
     assert run("python") is True
-    assert run("columnar_batched") is True  # restored after the pause
+    assert run("columnar") is True  # restored after the pause
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +128,7 @@ def test_initial_stage_scales_near_linearly():
         for _ in range(3):
             stats = PipelineStats()
             t0 = time.perf_counter()
-            extract(trace, PipelineOptions(backend="columnar_batched"),
-                    stats=stats)
+            extract(trace, PipelineOptions(backend="columnar"), stats=stats)
             del t0
             best = min(best, stats.stage_seconds["initial"])
         return best, len(trace.events)

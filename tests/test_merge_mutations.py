@@ -1,18 +1,12 @@
-"""Mutation battery for the batched merge rounds and PE shard plans.
+"""Mutation battery for the batched merge rounds.
 
-Two claims are load-bearing for the ``columnar_batched`` backend and
-deserve adversarial tests rather than just the happy-path differential:
-
-* *Merge rounds are order-independent at the membership level.*  The
-  candidate order determines the representatives (and the batch kernel
-  replays it bit-for-bit), but the fixed-point *partition of events*
-  must not depend on it — shuffling a round's candidate columns must
-  reach the same membership partition.
-* *Any whole-chare shard plan is result-neutral.*  Serial-block
-  absorption only looks at adjacent executions of one chare, so every
-  plan that covers each chare exactly once — one giant shard, one chare
-  per shard, reversed PE groups — must build a bit-identical
-  InitialStructure, and invalid plans must fail loudly.
+One claim is load-bearing for the ``columnar`` backend's batched
+union-find kernel and deserves adversarial tests rather than just the
+happy-path differential: *merge rounds are order-independent at the
+membership level.*  The candidate order determines the representatives
+(and the batch kernel replays it bit-for-bit), but the fixed-point
+*partition of events* must not depend on it — shuffling a round's
+candidate columns must reach the same membership partition.
 """
 
 from __future__ import annotations
@@ -22,12 +16,8 @@ import random
 import pytest
 
 from repro.api import PipelineOptions, extract
-from repro.apps import jacobi2d, lulesh
-from repro.core.columnar import (
-    HAVE_NUMPY,
-    build_initial_batched,
-    pe_shard_plan,
-)
+from repro.apps import jacobi2d
+from repro.core.columnar import HAVE_NUMPY, build_initial_columnar
 from repro.core.merges import dependency_merge, repair_merge
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
@@ -58,10 +48,10 @@ def _shuffling(columns_fn, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_shuffled_message_candidates_reach_same_partition(seed):
     trace = _trace()
-    baseline = build_initial_batched(trace)
+    baseline = build_initial_columnar(trace)
     dependency_merge(baseline.state)
 
-    mutated = build_initial_batched(trace)
+    mutated = build_initial_columnar(trace)
     mutated.state.message_merge_arrays = _shuffling(
         mutated.state.message_merge_arrays, seed)
     dependency_merge(mutated.state)
@@ -72,11 +62,11 @@ def test_shuffled_message_candidates_reach_same_partition(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_shuffled_repair_candidates_reach_same_partition(seed):
     trace = _trace()
-    baseline = build_initial_batched(trace)
+    baseline = build_initial_columnar(trace)
     dependency_merge(baseline.state)
     repair_merge(baseline)
 
-    mutated = build_initial_batched(trace)
+    mutated = build_initial_columnar(trace)
     dependency_merge(mutated.state)
     mutated.state.block_repair_arrays = _shuffling(
         mutated.state.block_repair_arrays, seed)
@@ -88,10 +78,10 @@ def test_shuffled_repair_candidates_reach_same_partition(seed):
 def test_reversed_candidates_reach_same_partition():
     # The extreme shuffle: process every round's candidates backwards.
     trace = _trace()
-    baseline = build_initial_batched(trace)
+    baseline = build_initial_columnar(trace)
     dependency_merge(baseline.state)
 
-    mutated = build_initial_batched(trace)
+    mutated = build_initial_columnar(trace)
     columns_fn = mutated.state.message_merge_arrays
 
     def reverse():
@@ -104,68 +94,10 @@ def test_reversed_candidates_reach_same_partition():
 
 
 # ---------------------------------------------------------------------------
-# Adversarial shard plans: any whole-chare cover is bit-identical
-# ---------------------------------------------------------------------------
-def _assert_initial_identical(a, b):
-    assert a.blocks == b.blocks
-    assert a.block_of_event == b.block_of_event
-    assert a.block_of_exec == b.block_of_exec
-    assert a.state.init_events == b.state.init_events
-    assert a.state.init_runtime == b.state.init_runtime
-    assert a.state.init_block == b.state.init_block
-    assert a.state.event_init == b.state.event_init
-    assert a.state.edges == b.state.edges
-
-
-def _adversarial_plans(trace):
-    slots = len(trace.executions_by_chare)
-    grouped = pe_shard_plan(trace)
-    return {
-        "single_shard": [list(range(slots))],
-        "one_chare_per_shard": [[i] for i in range(slots)],
-        "reversed_groups": [list(reversed(s)) for s in reversed(grouped)],
-    }
-
-
-@pytest.mark.parametrize("plan_name",
-                         ["single_shard", "one_chare_per_shard",
-                          "reversed_groups"])
-def test_adversarial_shard_plans_bit_identical(plan_name):
-    trace = lulesh.run_charm(chares=8, pes=4, iterations=2, seed=3)
-    default = build_initial_batched(trace)
-    plan = _adversarial_plans(trace)[plan_name]
-    sharded = build_initial_batched(trace, shard_plan=plan)
-    _assert_initial_identical(default, sharded)
-
-
-def test_shard_plan_duplicate_chare_rejected():
-    trace = _trace()
-    slots = len(trace.executions_by_chare)
-    plan = [list(range(slots)), [0]]  # chare 0 appears in two shards
-    with pytest.raises(ValueError, match="multiple shards"):
-        build_initial_batched(trace, shard_plan=plan)
-
-
-def test_shard_plan_missing_chare_rejected():
-    trace = _trace()
-    slots = len(trace.executions_by_chare)
-    plan = [list(range(slots - 1))]  # last chare uncovered
-    with pytest.raises(ValueError, match="cover every chare"):
-        build_initial_batched(trace, shard_plan=plan)
-
-
-# ---------------------------------------------------------------------------
-# Strict verify mode stays green on the batched backend
+# Strict verify mode stays green on the batched merge kernel
 # ---------------------------------------------------------------------------
 def test_strict_verify_green_on_batched_backend():
     trace = _trace()
     structure = extract(trace, PipelineOptions(
-        backend="columnar_batched", verify=True))
-    assert structure.max_step >= 0
-
-
-def test_strict_verify_green_on_batched_backend_sharded():
-    trace = _trace()
-    structure = extract(trace, PipelineOptions(
-        backend="columnar_batched", verify=True, shard_workers=2))
+        backend="columnar", verify=True))
     assert structure.max_step >= 0

@@ -451,10 +451,9 @@ def test_strict_verify_failure_falls_back_and_rechecks(trace, monkeypatch):
     monkeypatch.setattr(columnar, "build_initial_columnar", poisoned)
     structure = extract_logical_structure(
         trace, PipelineOptions(verify=True, on_error="fallback"))
-    # The batched primary delegates to the poisoned columnar builder,
-    # then the "columnar" rung retries it directly: two calls before
-    # the python reference rung survives.
-    assert calls["n"] == 2
+    # The columnar primary calls the poisoned builder once; the python
+    # reference rung, the only fallback, then survives.
+    assert calls["n"] == 1
     assert structure.degradation.outcome("initial").path == "python_reference"
 
 

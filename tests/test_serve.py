@@ -187,6 +187,32 @@ def test_http_error_statuses(server, tmp_path):
     assert record["error"] in json.loads(body)["error"]
 
 
+def test_client_cannot_set_server_paths_or_removed_options(server, trace_file,
+                                                          tmp_path):
+    # checkpoint_dir names a directory on the server: a client choosing
+    # it could make the server write pickles there and unpickle them on
+    # resume.  It is refused like hooks, before anything is journaled,
+    # and so is an unknown field such as shard_workers.
+    port, service = server
+    _, body = http(port, "POST", "/v1/traces", trace_file.read_bytes())
+    ref = json.loads(body)["trace"]
+    ledger_before = (service.ledger_path.read_bytes()
+                     if service.ledger_path.exists() else b"")
+    target = tmp_path / "client-chosen"
+    for field, value in (("checkpoint_dir", str(target)),
+                         ("shard_workers", 2)):
+        request = json.dumps({"trace": ref,
+                              "options": {field: value}}).encode()
+        status, body = http(port, "POST", "/v1/jobs", request)
+        assert status == 400, field
+        assert field in json.loads(body)["error"]
+    ledger_after = (service.ledger_path.read_bytes()
+                    if service.ledger_path.exists() else b"")
+    assert ledger_after == ledger_before
+    assert not target.exists()
+    assert not any(service.stats()["jobs"].values())
+
+
 def test_result_conflict_while_queued_and_gone_after_eviction(
         tmp_path, trace_file):
     service = JobService(tmp_path / "data", workers=0)  # nothing drains

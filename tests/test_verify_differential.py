@@ -70,9 +70,7 @@ def test_variant_matrix_shape():
         "reordered/infer/index",
     ]
     backend_twins = (
-        ["reordered/infer/columnar", "physical/noinfer/columnar",
-         "reordered/infer/columnar_batched",
-         "physical/noinfer/columnar_batched"]
+        ["reordered/infer/columnar", "physical/noinfer/columnar"]
         if HAVE_NUMPY else []
     )
     names = [name for name, _ in default_variants()]
@@ -80,15 +78,10 @@ def test_variant_matrix_shape():
     assert [name for name, _ in default_variants(backends=False)] == base
     assert [name for name, _ in
             default_variants(tie_breaks=False, backends=False)] == base[:4]
-    # Base variants pin the reference backend; twins request a
-    # columnar-family backend, named by their suffix.
+    # Base variants pin the reference backend; twins request the
+    # columnar backend, named by their suffix.
     for name, options in default_variants():
-        if name.endswith("/columnar_batched"):
-            expected = "columnar_batched"
-        elif name.endswith("/columnar"):
-            expected = "columnar"
-        else:
-            expected = "python"
+        expected = "columnar" if name.endswith("/columnar") else "python"
         assert options.backend == expected, name
 
 
