@@ -44,7 +44,6 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.apps import lulesh  # noqa: E402
-from repro.core.columnar import HAVE_NUMPY  # noqa: E402
 from repro.core.pipeline import (  # noqa: E402
     PipelineOptions,
     PipelineStats,
@@ -263,8 +262,7 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
     timings = {}
     structures = {}
     ab_stats = {}
-    backends = ["python"] + (["columnar"] if HAVE_NUMPY else [])
-    for backend in backends:
+    for backend in ("python", "columnar"):
         backend_opts = PipelineOptions(backend=backend)
         best = None
         best_stats = None
@@ -279,22 +277,18 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
         say(f"A/B {backend:16s} @ {largest} chares: best of {rounds} = "
             f"{best:6.2f}s")
 
-    if HAVE_NUMPY:
-        py = structures["python"]
-        col = structures["columnar"]
-        identical = (py.step_of_event == col.step_of_event
-                     and py.phase_of_event == col.phase_of_event)
-        speedup = timings["python"] / timings["columnar"]
-    else:
-        identical = True  # vacuous: only one backend exists to compare
-        speedup = 1.0
+    py = structures["python"]
+    col = structures["columnar"]
+    identical = (py.step_of_event == col.step_of_event
+                 and py.phase_of_event == col.phase_of_event)
+    speedup = timings["python"] / timings["columnar"]
     say(f"A/B speedup: columnar {speedup:.2f}x, identical={identical}")
 
     # Hot-stage budget: the merge kernels (initial + dependency_merge)
     # against their checked-in fraction of columnar wall time.
     budgets = json.loads(BUDGETS_PATH.read_text())
     hot_stages = budgets["hot_stages"]
-    budget_backend = budgets["backend"] if HAVE_NUMPY else "python"
+    budget_backend = budgets["backend"]
     budget_stats = ab_stats[budget_backend]
     hot_seconds = sum(budget_stats.stage_seconds.get(s, 0.0)
                       for s in hot_stages)
@@ -392,15 +386,14 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
     record = {
         "schema_version": 1,
         "quick": quick,
-        "numpy": HAVE_NUMPY,
+        "numpy": True,
         "fig18_iteration_scaling": fig18,
         "fig19_chare_scaling": fig19,
         "backend_ab": {
             "chares": largest,
             "events": len(ab_trace.events),
             "python_seconds": round(timings["python"], 6),
-            "columnar_seconds": round(
-                timings.get("columnar", timings["python"]), 6),
+            "columnar_seconds": round(timings["columnar"], 6),
             "speedup": round(speedup, 4),
             "identical": identical,
         },

@@ -20,9 +20,9 @@ open stream, an in-memory :class:`~repro.trace.model.Trace`, or a
 :class:`PipelineOptions`, and keyword overrides applied on top of it.
 Path and stream inputs are materialized per ``options.ingest``
 ("chunked" streams the file into columnar buffers; "eager" builds the
-object-backed trace; "auto" picks chunked when NumPy is available) —
-bit-identical either way.  The historical ``read_trace`` → ``extract``
-idiom keeps working: a Trace input is used as-is.
+object-backed trace; "auto" is chunked) — bit-identical either way.
+The historical ``read_trace`` → ``extract`` idiom keeps working: a
+Trace input is used as-is.
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ def extract(
     options object, quick one-off keywords, or a mix — go through one
     unambiguous path.  Unknown override names raise :class:`TypeError`.
     Path and stream sources are materialized per ``opts.ingest``
-    (chunked columnar by default when NumPy is available); an in-memory
-    Trace or a pre-built TraceSource is used as-is.
+    (chunked columnar by default); an in-memory Trace or a pre-built
+    TraceSource is used as-is.
     """
     opts = (options if options is not None else PipelineOptions())
     if overrides:

@@ -20,6 +20,7 @@ from typing import List, Optional
 
 from repro.core import PipelineOptions, PipelineStats, extract_logical_structure
 from repro.core.patterns import kind_sequence, repeating_unit
+from repro.core.pipeline import OPTION_CHOICES
 from repro.trace import read_trace, validate_trace, write_trace
 from repro.trace.clocksync import count_violations, synchronize_trace
 from repro.trace.validate import TraceValidationError
@@ -91,29 +92,27 @@ def add_pipeline_options(parser: argparse.ArgumentParser) -> None:
     verify, batch) takes the same knobs; this is the one place they are
     declared so help text and defaults cannot drift apart.
     """
-    parser.add_argument("--order", choices=["reordered", "physical"],
+    parser.add_argument("--order", choices=OPTION_CHOICES["order"],
                         default="reordered")
-    parser.add_argument("--mode", choices=["auto", "charm", "mpi"],
+    parser.add_argument("--mode", choices=OPTION_CHOICES["mode"],
                         default="auto")
     parser.add_argument("--infer", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="Section 3.1.4 inference (--no-infer for "
                              "Figure 17 mode)")
-    parser.add_argument("--tie-break", choices=["chare_id", "index"],
+    parser.add_argument("--tie-break", choices=OPTION_CHOICES["tie_break"],
                         default="chare_id")
-    parser.add_argument("--backend",
-                        choices=["auto", "python", "columnar",
-                                 "columnar_batched"],
+    parser.add_argument("--backend", choices=OPTION_CHOICES["backend"],
                         default="auto",
                         help="pipeline kernels: columnar (NumPy + batched "
-                             "union-find merges) or pure python; auto picks "
-                             "columnar when NumPy is available; "
+                             "union-find merges) or the pure-python "
+                             "reference; auto is columnar; "
                              "columnar_batched is an alias of columnar")
-    parser.add_argument("--repair", choices=["off", "warn", "fix"],
+    parser.add_argument("--repair", choices=OPTION_CHOICES["repair"],
                         default="off",
                         help="pre-extraction trace repair: warn reports "
                              "defects, fix repairs what is safely repairable")
-    parser.add_argument("--on-error", choices=["raise", "fallback", "degrade"],
+    parser.add_argument("--on-error", choices=OPTION_CHOICES["on_error"],
                         default="raise",
                         help="stage-failure policy: raise (fail fast), "
                              "fallback (try each stage's safe paths), degrade "
@@ -130,16 +129,16 @@ def add_pipeline_options(parser: argparse.ArgumentParser) -> None:
                         metavar="MIB",
                         help="process RSS ceiling while a stage runs; a "
                              "breach soft-aborts the stage")
-    parser.add_argument("--hook-errors", choices=["warn", "raise"],
+    parser.add_argument("--hook-errors", choices=OPTION_CHOICES["hook_errors"],
                         default="warn",
                         help="user stage-hook exceptions: warn and continue "
                              "(default) or abort extraction")
-    parser.add_argument("--ingest", choices=["auto", "eager", "chunked"],
+    parser.add_argument("--ingest", choices=OPTION_CHOICES["ingest"],
                         default="auto",
                         help="trace ingestion: chunked streams the file into "
                              "columnar buffers (bounded memory), eager builds "
-                             "per-record objects; auto picks chunked when "
-                             "NumPy is available (bit-identical results)")
+                             "per-record objects; auto is chunked "
+                             "(bit-identical results)")
 
 
 def pipeline_options_from_args(args: argparse.Namespace) -> PipelineOptions:

@@ -27,21 +27,16 @@ the exact insertion sequence of its pure-Python counterpart
 (first-occurrence deduplication in the original scan order), which the
 differential harness (``repro.verify.differential``) cross-checks.
 
-The module imports cleanly without NumPy; :func:`resolve_backend` then
-maps ``"auto"`` to ``"python"``.
+This is the one production kernel family (``backend="auto"`` selects
+it); the pure-Python modules stay as the differential oracle and the
+pipeline's fallback rung.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-try:  # NumPy is a declared dependency, but the pure path must survive without it.
-    import numpy as np
-
-    HAVE_NUMPY = True
-except Exception:  # pragma: no cover - exercised only in numpy-less installs
-    np = None
-    HAVE_NUMPY = False
+import numpy as np
 
 from repro.core.initial import (
     Block,
@@ -56,25 +51,6 @@ from repro.trace.model import Trace
 #: Fixed-point rounds before :func:`local_steps_columnar` hands the phase
 #: back to the python Kahn implementation (deep message chains / cycles).
 MAX_STEP_ROUNDS = 80
-
-
-#: Accepted names of the backend built on this module.  ``"auto"`` picks
-#: it when NumPy is importable; ``"columnar_batched"`` is the name of a
-#: former variant, kept as an alias so existing scripts keep working.
-COLUMNAR_BACKENDS = ("columnar", "columnar_batched")
-
-
-def resolve_backend(name: str) -> str:
-    """Map a ``PipelineOptions.backend`` value to "columnar" or "python"."""
-    if name == "auto":
-        return "columnar" if HAVE_NUMPY else "python"
-    if name in COLUMNAR_BACKENDS:
-        if not HAVE_NUMPY:
-            raise RuntimeError(f"backend={name!r} requires numpy")
-        return "columnar"
-    if name == "python":
-        return "python"
-    raise ValueError(f"unknown backend {name!r}")
 
 
 class EventTable:
@@ -785,17 +761,14 @@ def _absorb_flags(serial, pe, start, end, first_positions, absorb_tolerance):
 
 
 def _scan_serial_blocks_columnar(trace: Trace, absorb_tolerance: float,
-                                 xt: ExecTable,
-                                 window: Optional[int] = None):
+                                 xt: ExecTable):
     """Vectorized :func:`repro.core.initial.scan_serial_blocks`.
 
     The absorption decision depends only on the (previous, current)
     execution pair — never on accumulated group state — so the per-chare
-    scan reduces to pairwise boundary predicates.  A ``window`` (set for
-    chunk-ingested traces) folds the predicate incrementally
-    (:func:`repro.core.streaming.absorb_flags_windowed`) — same flags,
-    bounded scan state.  Returns ``(block_of_exec_arr, xid_arr,
-    group_starts, serial_seq)`` — group ``i`` owns the execution ids
+    scan reduces to pairwise boundary predicates.  Returns
+    ``(block_of_exec_arr, xid_arr, group_starts, serial_seq)`` — group
+    ``i`` owns the execution ids
     ``xid_arr[group_starts[i]:group_starts[i+1]]``; the differential
     harness cross-checks the grouping against the python scan.
     """
@@ -814,14 +787,8 @@ def _scan_serial_blocks_columnar(trace: Trace, absorb_tolerance: float,
     start = xt.start[xid_arr]
     end = xt.end[xid_arr]
     chare_first = chare_starts[chare_starts < total]
-    if window is not None:
-        from repro.core.streaming import absorb_flags_windowed
-
-        absorb = absorb_flags_windowed(serial, pe, start, end, chare_first,
-                                       absorb_tolerance, window)
-    else:
-        absorb = _absorb_flags(serial, pe, start, end, chare_first,
-                               absorb_tolerance)
+    absorb = _absorb_flags(serial, pe, start, end, chare_first,
+                           absorb_tolerance)
     starts = np.flatnonzero(~absorb)
     block_of_exec = np.full(xt.n, -1, np.int64)
     block_of_exec[xid_arr] = np.cumsum(~absorb) - 1
@@ -939,17 +906,13 @@ def _message_edges_columnar(table: EventTable, event_init_arr,
 
 def build_initial_columnar(trace: Trace, mode: str = "charm",
                            absorb_tolerance: float = 1e-9,
-                           relaxed_chain: bool = False, *,
-                           window: Optional[int] = None) -> InitialStructure:
+                           relaxed_chain: bool = False) -> InitialStructure:
     """Columnar :func:`repro.core.initial.build_initial`.
 
     The absorption scan, block metadata, per-block event grouping,
     runtime-flag computation and run splitting are vectorized; the
     cross-block SDAG/CHAIN heuristics and message edges run the shared
-    python helpers.  ``window`` (the ingest chunk window of a streamed
-    trace) switches the absorption scan and the partition-run split onto
-    the incremental folds of :mod:`repro.core.streaming` — partial
-    partitions close window by window, with identical output.
+    python helpers.
     """
     if mode not in ("charm", "mpi"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -958,8 +921,7 @@ def build_initial_columnar(trace: Trace, mode: str = "charm",
     n = table.n
 
     block_of_exec_arr, xid_arr, gstarts, serial_seq = (
-        _scan_serial_blocks_columnar(trace, absorb_tolerance, xt,
-                                     window=window)
+        _scan_serial_blocks_columnar(trace, absorb_tolerance, xt)
     )
     nb = len(gstarts)
 
@@ -994,12 +956,7 @@ def build_initial_columnar(trace: Trace, mode: str = "charm",
         # Runs of constant runtime-relatedness within each block, in the
         # same traversal order as the python loop (ascending block id,
         # events in (time, id) order).
-        if len(seq) and window is not None:
-            from repro.core.streaming import fold_partition_runs
-
-            boundary, newblock = fold_partition_runs(block_seq, rt_seq,
-                                                     window)
-        elif len(seq):
+        if len(seq):
             newblock = np.r_[True, block_seq[1:] != block_seq[:-1]]
             boundary = newblock.copy()
             boundary[1:] |= rt_seq[1:] != rt_seq[:-1]

@@ -20,12 +20,13 @@ and runs only when explicitly requested.
 Since the resilience rework the stages are a declarative graph
 (:class:`~repro.resilience.executor.StageSpec` list) run by the
 :class:`~repro.resilience.executor.ResilientExecutor` over a shared
-context dict.  Each stage declares its fallback ladder (columnar kernel
-failure → python reference; reorder failure → physical-time ordering),
-whether it is degradable (a failure past phase finding yields a partial
-result instead of losing the run), and the executor adds between-stage
-checkpoints (``checkpoint_dir``), per-stage resource guards
-(``stage_deadline`` / ``max_rss_mb``), and the
+context dict.  Every stage that reads ``use_columnar`` gets one derived
+fallback rung on a columnar run — its own body rerun on the python
+kernels — and ``local_steps`` adds physical-time ordering after it.  A
+stage also declares whether it is degradable (a failure past phase
+finding yields a partial result instead of losing the run), and the
+executor adds between-stage checkpoints (``checkpoint_dir``), per-stage
+resource guards (``stage_deadline`` / ``max_rss_mb``), and the
 :class:`~repro.resilience.report.DegradationReport` threaded through
 :class:`PipelineStats`.  With the default ``on_error="raise"`` the
 behavior — including every exception — is the historical one.
@@ -48,9 +49,12 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 if TYPE_CHECKING:  # repro.verify builds on this module; avoid the cycle.
     from repro.verify.stagehooks import StageHook
 
+from repro.core import columnar
 from repro.core.inference import (
     enforce_chare_paths,
     infer_source_dependencies,
@@ -72,6 +76,8 @@ from repro.resilience.executor import (
 )
 from repro.resilience.guard import ResourceGuard
 from repro.trace.model import Trace
+from repro.trace.repair import REPAIR_MODES
+from repro.trace.source import INGEST_MODES
 
 #: Option fields that instrument or supervise the run without changing
 #: the extracted structure: excluded from cache/checkpoint keying.
@@ -86,7 +92,7 @@ NON_RESULT_FIELDS = frozenset({
     "stage_deadline",
     "max_rss_mb",
     # Ingestion mode only governs how a trace is materialized (eager
-    # objects vs streamed columns); the streaming kernels are pinned
+    # objects vs streamed columns); the chunked reader is pinned
     # bit-identical, so the same file yields the same structure — and
     # the same cache/checkpoint key — either way.
     "ingest",
@@ -104,11 +110,6 @@ SEED_KEYS = frozenset({"trace", "use_columnar"})
 #: * ``"infer"`` — runs when properties are enforced and ``options.infer``;
 #: * ``"enforce"`` — runs when DAG properties are enforced (Section 3.4).
 CONDITION_TOKENS = ("", "repair", "infer", "enforce")
-
-#: Fallback-gate tokens: ``"columnar"`` keeps the ladder only when the
-#: run actually selected the columnar backend (falling back from the
-#: python reference to itself would double-report one failure).
-FALLBACK_GATE_TOKENS = ("", "columnar")
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,11 @@ class StageSignature:
     ``requires`` keys are *enforced* by the executor: when one is
     missing — an upstream degradable stage was skipped — the stage is
     skipped too instead of computing on stale defaults.
+
+    A stage that reads ``use_columnar`` picks its kernels by that flag,
+    so :func:`build_stage_specs` derives its ``python_reference`` rung
+    instead of naming one here; every rung turns the flag off, which
+    makes ``use_columnar`` an output of each stage that reads it.
     """
 
     name: str
@@ -141,7 +147,6 @@ class StageSignature:
     fallbacks: Tuple[Tuple[str, str], ...] = ()
     degradable: bool = False
     condition: str = ""
-    fallback_gate: str = ""
     requires: Tuple[str, ...] = ()
 
 
@@ -157,29 +162,18 @@ STAGE_GRAPH: Tuple[StageSignature, ...] = (
         condition="repair",
     ),
     StageSignature(
-        # The fallback rung flips "use_columnar" off so the rest of the
-        # run stays on one backend — hence it is an output.  Downstream
-        # merge stages then pick their kernel by duck-typing the state
-        # the surviving rung built.
         "initial", "st_initial",
         inputs=("trace", "use_columnar"),
         outputs=("initial", "state", "initial_partitions", "use_columnar"),
-        fallbacks=(("python_reference", "st_initial_python"),),
-        fallback_gate="columnar",
     ),
     StageSignature(
-        # The rung reruns the pure-python reference scan on the *same*
-        # state in place of the batched union pass.
         "dependency_merge", "st_dependency_merge",
-        inputs=("state",), outputs=("state",),
-        fallbacks=(("python_reference", "st_dependency_merge_python"),),
-        fallback_gate="columnar",
+        inputs=("state", "use_columnar"), outputs=("state", "use_columnar"),
     ),
     StageSignature(
         "repair_merge", "st_repair_merge",
-        inputs=("initial", "state"), outputs=("state",),
-        fallbacks=(("python_reference", "st_repair_merge_python"),),
-        fallback_gate="columnar",
+        inputs=("initial", "state", "use_columnar"),
+        outputs=("state", "use_columnar"),
     ),
     StageSignature(
         "infer_sources", "st_infer_sources",
@@ -208,24 +202,22 @@ STAGE_GRAPH: Tuple[StageSignature, ...] = (
         "build_phases", "st_build_phases",
         inputs=("trace", "state", "use_columnar"),
         outputs=("phases", "phase_of_event", "final_phases",
-                 "local_step", "step_of_event", "chare_orders"),
-        fallbacks=(("python_reference", "st_build_phases_python"),),
+                 "local_step", "step_of_event", "chare_orders",
+                 "use_columnar"),
     ),
     StageSignature(
         "local_steps", "st_local_steps",
         inputs=("trace", "initial", "state", "phases", "use_columnar"),
         outputs=("local_step", "chare_orders", "local_arr",
-                 "local_steps_done"),
-        fallbacks=(("python_reference", "st_local_steps_python"),
-                   ("physical_order", "st_local_steps_physical")),
+                 "local_steps_done", "use_columnar"),
+        fallbacks=(("physical_order", "st_local_steps_physical"),),
         degradable=True,
     ),
     StageSignature(
         "global_steps", "st_global_steps",
         inputs=("trace", "phases", "phase_of_event", "local_step",
                 "use_columnar"),
-        outputs=("step_of_event",),
-        fallbacks=(("python_reference", "st_global_steps_python"),),
+        outputs=("step_of_event", "use_columnar"),
         degradable=True,
         requires=("local_steps_done",),
     ),
@@ -238,19 +230,32 @@ STAGE_GRAPH: Tuple[StageSignature, ...] = (
 )
 
 
+def _fallback_rung(body: StageFn) -> StageFn:
+    """``body`` as a fallback rung: it runs, and the rest of the run
+    stays, on the python kernels."""
+    def rung(ctx: dict) -> None:
+        ctx["use_columnar"] = False
+        body(ctx)
+
+    return rung
+
+
 def build_stage_specs(
     bodies: Dict[str, "StageFn"],
     *,
     enabled: Dict[str, Callable[[dict], bool]],
-    fallback_gates: Dict[str, bool],
+    use_columnar: bool,
 ) -> List[StageSpec]:
     """Materialize :data:`STAGE_GRAPH` into executable :class:`StageSpec`s.
 
     ``bodies`` maps body-function names to the callables defined for
-    this run; ``enabled`` maps condition tokens to predicates; and
-    ``fallback_gates`` maps fallback-gate tokens to whether the ladder
-    applies.  A signature referencing an unknown body or token is a
-    programming error and raises ``LookupError`` immediately.
+    this run and ``enabled`` maps condition tokens to predicates.  On a
+    columnar run every stage that reads ``use_columnar`` gets its own
+    body, rerun with the flag off, as the first rung of its ladder
+    (``"python_reference"``); a python run has no such rung, since it
+    would rerun the failed path.  A signature referencing an unknown
+    body or token is a programming error and raises ``LookupError``
+    immediately.
     """
     specs: List[StageSpec] = []
     for sig in STAGE_GRAPH:
@@ -268,16 +273,33 @@ def build_stage_specs(
                     f"{sig.condition!r}"
                 )
             condition = enabled[sig.condition]
-        fallbacks: List[Tuple[str, StageFn]] = []
-        if not sig.fallback_gate or fallback_gates.get(sig.fallback_gate):
-            fallbacks = [(name, bodies[fn]) for name, fn in sig.fallbacks]
+        ladder = list(sig.fallbacks)
+        if use_columnar and "use_columnar" in sig.inputs:
+            ladder.insert(0, ("python_reference", sig.body))
         specs.append(StageSpec(
             sig.name, bodies[sig.body],
             inputs=sig.inputs, outputs=sig.outputs,
-            fallbacks=fallbacks, degradable=sig.degradable,
+            fallbacks=[(name, _fallback_rung(bodies[fn]))
+                       for name, fn in ladder],
+            degradable=sig.degradable,
             enabled=condition, requires=sig.requires,
         ))
     return specs
+
+
+#: Accepted values of the enumerated :class:`PipelineOptions` fields, in
+#: the order the CLI lists them (its ``choices`` are these tuples);
+#: :meth:`PipelineOptions.validate` checks against them.
+OPTION_CHOICES: Dict[str, Tuple[str, ...]] = {
+    "order": ("reordered", "physical"),
+    "mode": ("auto", "charm", "mpi"),
+    "tie_break": ("chare_id", "index"),
+    "backend": ("auto", "python", "columnar", "columnar_batched"),
+    "repair": REPAIR_MODES,
+    "on_error": ON_ERROR_MODES,
+    "hook_errors": ("warn", "raise"),
+    "ingest": INGEST_MODES,
+}
 
 
 @dataclass
@@ -300,18 +322,18 @@ class PipelineOptions:
     absorb_tolerance: float = 1e-9
     #: Kernel backend: "columnar" (NumPy array kernels plus the batched
     #: union-find merge kernel), "python" (pure reference
-    #: implementation), or "auto" — columnar when NumPy is available.
-    #: "columnar_batched" is accepted as an alias of "columnar".  Both
-    #: backends produce bit-identical structures; the differential
-    #: harness cross-checks them.
+    #: implementation, the differential oracle), or "auto", which is
+    #: "columnar".  "columnar_batched" is accepted as an alias of
+    #: "columnar".  Both backends produce bit-identical structures; the
+    #: differential harness cross-checks them.
     backend: str = "auto"
     #: How :func:`repro.api.extract` materializes a path/stream source:
-    #: "chunked" parses fixed-size windows straight into columnar
-    #: buffers (streaming, bounded staging memory), "eager" builds the
-    #: object-backed trace, "auto" picks chunked when NumPy is
-    #: available.  Bit-identical either way (the streaming kernels are
-    #: pinned by differential twins), so it is excluded from cache and
-    #: checkpoint keys.  Ignored for already-materialized Trace inputs.
+    #: "chunked" parses fixed-size chunks straight into columnar
+    #: buffers (bounded staging memory), "eager" builds the
+    #: object-backed trace, "auto" is "chunked".  Bit-identical either
+    #: way (pinned by differential twins), so it is excluded from cache
+    #: and checkpoint keys.  Ignored for already-materialized Trace
+    #: inputs.
     ingest: str = "auto"
     #: Stage instrumentation: one :class:`repro.verify.stagehooks.StageHook`
     #: (an object with an ``on_stage(stage, *, state, structure, seconds)``
@@ -355,11 +377,26 @@ class PipelineOptions:
             return self.mode
         return "mpi" if trace.metadata.get("model") == "mpi" else "charm"
 
+    def validate(self) -> "PipelineOptions":
+        """Check every enumerated field against :data:`OPTION_CHOICES`.
+
+        Raises ``ValueError`` naming the first field with a value
+        outside its choices; returns ``self`` so a caller can chain.
+        """
+        for name, choices in OPTION_CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(
+                    f"unknown {name} {value!r}; expected one of "
+                    f"{', '.join(choices)}"
+                )
+        return self
+
     def resolve_backend(self) -> str:
         """Concrete backend for this run ("columnar" or "python")."""
-        from repro.core.columnar import resolve_backend
-
-        return resolve_backend(self.backend)
+        if self.backend not in OPTION_CHOICES["backend"]:
+            raise ValueError(f"unknown backend {self.backend!r}")
+        return "python" if self.backend == "python" else "columnar"
 
     def result_token(self) -> str:
         """Canonical string of the result-affecting option fields.
@@ -427,12 +464,6 @@ class PipelineStats:
     checkpoint: Optional[Dict[str, object]] = None
 
 
-def _columnar():
-    from repro.core import columnar
-
-    return columnar
-
-
 def _checkpoint_key(trace: Trace, opts: PipelineOptions) -> str:
     # Imported lazily: repro.batch builds on this module.
     from repro.batch import trace_digest
@@ -466,16 +497,7 @@ def extract_logical_structure(
         opts = options
     else:
         opts = PipelineOptions(**kwargs)
-    if opts.order not in ("reordered", "physical"):
-        raise ValueError(f"unknown order {opts.order!r}")
-    if opts.repair not in ("off", "warn", "fix"):
-        raise ValueError(f"unknown repair mode {opts.repair!r}")
-    if opts.on_error not in ON_ERROR_MODES:
-        raise ValueError(f"unknown on_error mode {opts.on_error!r}")
-    if opts.hook_errors not in ("raise", "warn"):
-        raise ValueError(f"unknown hook_errors mode {opts.hook_errors!r}")
-    if opts.ingest not in ("eager", "chunked", "auto"):
-        raise ValueError(f"unknown ingest mode {opts.ingest!r}")
+    opts.validate()
     mode = opts.resolve_mode(trace)
     backend = opts.resolve_backend()
     stats = stats if stats is not None else PipelineStats()
@@ -514,53 +536,21 @@ def extract_logical_structure(
         ctx["repair"] = report.to_dict()
         warn_on_defects(report, stacklevel=3)
 
-    def _set_initial(ctx: dict, initial) -> None:
+    def st_initial(ctx: dict) -> None:
+        build = (columnar.build_initial_columnar if ctx["use_columnar"]
+                 else build_initial)
+        initial = build(ctx["trace"], mode=mode,
+                        absorb_tolerance=opts.absorb_tolerance,
+                        relaxed_chain=relaxed)
         ctx["initial"] = initial
         ctx["state"] = initial.state
         ctx["initial_partitions"] = len(initial.state.init_events)
 
-    def st_initial(ctx: dict) -> None:
-        # A chunk-ingested trace advertises its ingest window; the
-        # columnar kernels then fold the scan window by window
-        # (bit-identical to the whole-array pass by construction).
-        if ctx["use_columnar"]:
-            initial = _columnar().build_initial_columnar(
-                ctx["trace"], mode=mode,
-                absorb_tolerance=opts.absorb_tolerance,
-                relaxed_chain=relaxed,
-                window=getattr(ctx["trace"], "ingest_window", None),
-            )
-        else:
-            initial = build_initial(
-                ctx["trace"], mode=mode,
-                absorb_tolerance=opts.absorb_tolerance,
-                relaxed_chain=relaxed,
-            )
-        _set_initial(ctx, initial)
-
-    def st_initial_python(ctx: dict) -> None:
-        # Columnar kernels unusable for this trace: the whole run
-        # continues on the python reference implementation.
-        ctx["use_columnar"] = False
-        _set_initial(ctx, build_initial(
-            ctx["trace"], mode=mode, absorb_tolerance=opts.absorb_tolerance,
-            relaxed_chain=relaxed,
-        ))
-
     def st_dependency_merge(ctx: dict) -> None:
-        dependency_merge(ctx["state"])
-
-    def st_dependency_merge_python(ctx: dict) -> None:
-        # Batched union kernel failed mid-stage: the executor restored
-        # the pre-stage state snapshot, so rerun the reference loops on
-        # the same state.
-        dependency_merge(ctx["state"], use_fast_path=False)
+        dependency_merge(ctx["state"], use_fast_path=ctx["use_columnar"])
 
     def st_repair_merge(ctx: dict) -> None:
-        repair_merge(ctx["initial"])
-
-    def st_repair_merge_python(ctx: dict) -> None:
-        repair_merge(ctx["initial"], use_fast_path=False)
+        repair_merge(ctx["initial"], use_fast_path=ctx["use_columnar"])
 
     def st_infer_sources(ctx: dict) -> None:
         infer_source_dependencies(ctx["state"])
@@ -574,15 +564,15 @@ def extract_logical_structure(
     def st_chare_paths(ctx: dict) -> None:
         enforce_chare_paths(ctx["state"])
 
-    def _build_phases(ctx: dict, use_columnar: bool) -> None:
+    def st_build_phases(ctx: dict) -> None:
         state = ctx["state"]
         events = ctx["trace"].events
         # The leap values feed a totally-ordered sort key, so the
         # columnar kernel's different dict order is safe here (it is NOT
         # safe inside the inference stages, which keep the python
         # compute_leaps).
-        if use_columnar:
-            leaps = _columnar().compute_leaps_columnar(state)
+        if ctx["use_columnar"]:
+            leaps = columnar.compute_leaps_columnar(state)
         else:
             leaps = compute_leaps(state)
         succs, preds = state.adjacency()
@@ -623,46 +613,36 @@ def extract_logical_structure(
         ctx["step_of_event"] = [-1] * len(events)
         ctx["chare_orders"] = {}
 
-    def st_build_phases(ctx: dict) -> None:
-        _build_phases(ctx, use_columnar=ctx["use_columnar"])
-
-    def st_build_phases_python(ctx: dict) -> None:
-        _build_phases(ctx, use_columnar=False)
-
     def _local_steps_columnar(ctx: dict) -> None:
-        col = _columnar()
-        np = col.np
         trace_, initial, state = ctx["trace"], ctx["initial"], ctx["state"]
-        table = col.EventTable.of(trace_)
+        table = columnar.EventTable.of(trace_)
         block_table = getattr(state, "block_table", None)
         boe_arr = (block_table.block_of_event if block_table is not None
                    else np.asarray(initial.block_of_event, np.int64))
         local_arr = np.full(len(trace_.events), -1, np.int64)
         chare_orders: Dict[Tuple[int, int], List[int]] = {}
         if opts.order != "physical" and mode != "mpi":
-            if opts.tie_break not in ("chare_id", "index"):
-                raise ValueError(f"unknown tie_break {opts.tie_break!r}")
             if opts.tie_break == "index":
                 inv_keys = [tuple(c.index) if c.index else (c.id,)
                             for c in trace_.chares]
             else:
                 inv_keys = [(c.id,) for c in trace_.chares]
         for phase in ctx["phases"]:
-            ordered_np = col.sorted_phase_events(table, phase.events)
+            ordered_np = columnar.sorted_phase_events(table, phase.events)
             if opts.order == "physical":
-                orders = col.physical_order_columnar(table, ordered_np)
+                orders = columnar.physical_order_columnar(table, ordered_np)
             elif mode == "mpi":
                 orders = reordered_order_mp(
                     trace_, phase.events, initial.block_of_event,
                     _ordered=ordered_np.tolist(),
                 )
             else:
-                orders = col.task_order_columnar(
+                orders = columnar.task_order_columnar(
                     table, ordered_np, boe_arr, inv_keys
                 )
             for chare, order in orders.items():
                 chare_orders[(phase.id, chare)] = order
-            result = col.local_steps_columnar(table, orders)
+            result = columnar.local_steps_columnar(table, orders)
             if result is None:  # suspected cycle: python reference fallback
                 steps, max_s = assign_local_steps(trace_, phase.events, orders)
                 for ev, s in steps.items():
@@ -708,16 +688,13 @@ def extract_logical_structure(
         else:
             _local_steps_python(ctx, physical=opts.order == "physical")
 
-    def st_local_steps_python(ctx: dict) -> None:
-        _local_steps_python(ctx, physical=opts.order == "physical")
-
     def st_local_steps_physical(ctx: dict) -> None:
         # Last-resort ordering: physical time needs no inference and no
         # reorder fixed point, so it survives inputs the idealized
         # replay cannot.
         _local_steps_python(ctx, physical=True)
 
-    def _global_steps(ctx: dict, use_columnar: bool) -> None:
+    def st_global_steps(ctx: dict) -> None:
         phases = ctx["phases"]
         max_local = {p.id: p.max_local_step for p in phases}
         offsets = assign_global_offsets(
@@ -726,8 +703,7 @@ def extract_logical_structure(
         for phase in phases:
             phase.offset = offsets[phase.id]
         local_arr = ctx.get("local_arr")
-        if use_columnar and local_arr is not None and phases:
-            np = _columnar().np
+        if ctx["use_columnar"] and local_arr is not None and phases:
             offset_arr = np.fromiter((p.offset for p in phases), np.int64,
                                      len(phases))
             phase_arr = np.asarray(ctx["phase_of_event"], np.int64)
@@ -744,12 +720,6 @@ def extract_logical_structure(
                 for ev in phase.events:
                     step_of_event[ev] = phase.offset + local_step[ev]
             ctx["step_of_event"] = step_of_event
-
-    def st_global_steps(ctx: dict) -> None:
-        _global_steps(ctx, use_columnar=ctx["use_columnar"])
-
-    def st_global_steps_python(ctx: dict) -> None:
-        _global_steps(ctx, use_columnar=False)
 
     def st_finalize(ctx: dict) -> None:
         initial = ctx["initial"]
@@ -775,13 +745,10 @@ def extract_logical_structure(
     bodies: Dict[str, StageFn] = {
         fn.__name__: fn
         for fn in (
-            st_repair, st_initial, st_initial_python,
-            st_dependency_merge, st_dependency_merge_python,
-            st_repair_merge, st_repair_merge_python, st_infer_sources, st_leap_merge,
-            st_order_overlapping, st_chare_paths, st_build_phases,
-            st_build_phases_python, st_local_steps, st_local_steps_python,
-            st_local_steps_physical, st_global_steps, st_global_steps_python,
-            st_finalize,
+            st_repair, st_initial, st_dependency_merge, st_repair_merge,
+            st_infer_sources, st_leap_merge, st_order_overlapping,
+            st_chare_paths, st_build_phases, st_local_steps,
+            st_local_steps_physical, st_global_steps, st_finalize,
         )
     }
     use_columnar = backend != "python"
@@ -792,7 +759,7 @@ def extract_logical_structure(
             "infer": lambda ctx: enforce and opts.infer,
             "enforce": lambda ctx: enforce,
         },
-        fallback_gates={"columnar": use_columnar},
+        use_columnar=use_columnar,
     )
 
     def observer(stage: str, seconds: float, ctx: dict) -> None:

@@ -27,22 +27,13 @@ repeated ``self`` lookups), not from changing the algorithm.
 
 :func:`connected_components` is the order-free vectorized reference the
 property tests compare against: same components, representative-agnostic.
-
-The module imports without NumPy; only :func:`connected_components` and
-:func:`roots_numpy` require it.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-try:  # NumPy is a declared dependency, but the pure path must survive without it.
-    import numpy as np
-
-    HAVE_NUMPY = True
-except Exception:  # pragma: no cover - exercised only in numpy-less installs
-    np = None
-    HAVE_NUMPY = False
+import numpy as np
 
 
 def batch_union(

@@ -41,6 +41,11 @@ from repro.lint.engine import ProjectContext, Rule
 
 PIPELINE_MODULE = "repro.core.pipeline"
 
+#: The kernel-selection flag.  The pipeline derives a python rung for
+#: every stage that reads it (its own body, rerun with the flag off), so
+#: such a stage writes it although no named body does.
+COLUMNAR_FLAG = "use_columnar"
+
 
 # ----------------------------------------------------------------------
 # Context-effect analysis
@@ -295,6 +300,8 @@ def check_stage_graph(
         all_writes: Set[str] = set()
         for _, body_effects in known:
             all_writes |= body_effects.writes
+        if COLUMNAR_FLAG in declared_in or sig.fallbacks:
+            all_writes.add(COLUMNAR_FLAG)  # every rung turns the flag off
         unproduced = [k for k in sig.outputs
                       if k not in all_writes and k not in declared_in]
         if unproduced:

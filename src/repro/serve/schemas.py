@@ -51,10 +51,9 @@ def require_dict(payload, what: str) -> dict:
 def parse_options(fields: Optional[dict]) -> PipelineOptions:
     """Validate a job's ``options`` object into :class:`PipelineOptions`.
 
-    Unknown fields and :data:`REJECTED_FIELDS` are rejected by name;
-    value validation beyond field existence is deferred to extraction
-    (an invalid value fails the job with the pipeline's own error
-    message).
+    Unknown fields and :data:`REJECTED_FIELDS` are rejected by name, and
+    :meth:`PipelineOptions.validate` checks every enumerated value, so a
+    bad value answers 400 naming the field before the job is journaled.
     """
     if fields is None:
         return PipelineOptions()
@@ -64,11 +63,13 @@ def parse_options(fields: Optional[dict]) -> PipelineOptions:
             raise SchemaError(f"options.{name} {reason} and cannot be "
                               "set through the service")
     try:
-        return PipelineOptions().with_overrides(**fields)
+        return PipelineOptions().with_overrides(**fields).validate()
     except TypeError as exc:
         raise SchemaError(
             f"{exc}; settable fields: {', '.join(OPTION_FIELDS)}"
         ) from None
+    except ValueError as exc:
+        raise SchemaError(f"options: {exc}") from None
 
 
 def parse_job_request(payload) -> tuple:

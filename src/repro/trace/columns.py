@@ -49,11 +49,6 @@ from repro.trace.events import (
 )
 from repro.trace.model import Trace
 
-#: Default number of execution rows per window when the initial-partition
-#: scan runs incrementally over a streamed trace (see
-#: :mod:`repro.core.streaming`).
-DEFAULT_INGEST_WINDOW = 65536
-
 
 class TraceColumns:
     """Dense columns of every bulk record type of one trace.
@@ -380,8 +375,6 @@ class ColumnarTrace(Trace):
     The chare/entry/array registries are eager (they are small and the
     heuristics read their names); the bulk record lists are lazy views
     and every derived index is computed vectorized on first access.
-    ``ingest_window`` (when set by the chunked reader) sizes the
-    incremental windows of the streaming initial-partition scan.
     """
 
     #: Indexes (and table caches) served lazily by ``__getattr__``.
@@ -399,10 +392,8 @@ class ColumnarTrace(Trace):
         arrays: List[ChareArray],
         num_pes: int,
         metadata: Optional[Dict[str, object]] = None,
-        ingest_window: Optional[int] = DEFAULT_INGEST_WINDOW,
     ) -> None:
         self.columns = columns
-        self.ingest_window = ingest_window
         super().__init__(
             chares=chares, entries=entries, arrays=arrays,
             executions=ExecutionList(columns), events=EventList(columns),

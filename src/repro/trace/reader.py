@@ -40,6 +40,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Dict, List, Optional, Union
 
+import numpy as np
+
 from repro.trace.events import (
     Chare,
     ChareArray,
@@ -51,14 +53,6 @@ from repro.trace.events import (
     Message,
 )
 from repro.trace.model import Trace
-
-try:  # Same soft dependency policy as repro.core.columnar.
-    import numpy as np
-
-    HAVE_NUMPY = True
-except Exception:  # pragma: no cover - exercised only in numpy-less installs
-    np = None
-    HAVE_NUMPY = False
 
 #: Bytes of trace text buffered per chunk by :func:`read_trace_chunked`.
 DEFAULT_CHUNK_BYTES = 4 << 20
@@ -540,7 +534,7 @@ class _ChunkedBuilder:
             target[key] = value
 
     # -- finalization ---------------------------------------------------
-    def build(self, ingest_window: Optional[int]) -> Trace:
+    def build(self) -> Trace:
         from repro.trace.columns import ColumnarTrace, TraceColumns
 
         if self.header is None:
@@ -564,7 +558,6 @@ class _ChunkedBuilder:
             arrays=_densify(self.arrays, "array"),
             num_pes=self.header["num_pes"],
             metadata=self.header.get("metadata", {}),
-            ingest_window=ingest_window,
         )
 
 
@@ -623,11 +616,8 @@ def read_trace_chunked(
     Parsing stages at most one ``chunk_bytes``-sized window of rows at a
     time; the returned :class:`~repro.trace.columns.ColumnarTrace` is
     bit-identical (as a Trace) to :func:`read_trace` on the same input.
-    Requires NumPy; pass a :class:`ReaderStats` to collect telemetry.
+    Pass a :class:`ReaderStats` to collect telemetry.
     """
-    if not HAVE_NUMPY:
-        raise RuntimeError("chunked ingestion requires numpy; "
-                           "use read_trace() instead")
     if chunk_bytes < 1:
         raise ValueError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
     stats = stats if stats is not None else ReaderStats()
@@ -637,9 +627,7 @@ def read_trace_chunked(
     else:
         with open(source, "rb") as fh:
             _feed_stream(builder, fh, chunk_bytes)
-    from repro.trace.columns import DEFAULT_INGEST_WINDOW
-
-    return builder.build(DEFAULT_INGEST_WINDOW)
+    return builder.build()
 
 
 def _feed_stream(builder: _ChunkedBuilder, fh: IO, chunk_bytes: int) -> None:

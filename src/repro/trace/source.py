@@ -26,19 +26,15 @@ from typing import IO, Optional, Union
 from repro.trace.model import Trace
 
 #: Ingestion modes :func:`open_trace` understands.
-INGEST_MODES = ("eager", "chunked", "auto")
+INGEST_MODES = ("auto", "eager", "chunked")
 
 
 def resolve_ingest(ingest: str) -> str:
-    """Concrete ingestion mode for "auto" (chunked iff NumPy exists)."""
+    """Concrete ingestion mode: "auto" is "chunked"."""
     if ingest not in INGEST_MODES:
         raise ValueError(
             f"unknown ingest mode {ingest!r}; expected one of {INGEST_MODES}")
-    if ingest != "auto":
-        return ingest
-    from repro.trace.reader import HAVE_NUMPY
-
-    return "chunked" if HAVE_NUMPY else "eager"
+    return "chunked" if ingest == "auto" else ingest
 
 
 class TraceSource:
@@ -136,8 +132,7 @@ def open_trace(
     :class:`TraceSource` (passed through unchanged; ``ingest`` does not
     override its policy).  ``ingest`` selects the reader for path and
     stream sources: "eager" (object-backed trace), "chunked" (streamed
-    columnar trace, bit-identical), or "auto" (chunked when NumPy is
-    available).
+    columnar trace, bit-identical), or "auto" (chunked).
     """
     if isinstance(source, Trace):
         return MemoryTraceSource(source)

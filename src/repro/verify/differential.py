@@ -22,7 +22,6 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.columnar import HAVE_NUMPY
 from repro.core.pipeline import PipelineOptions, PipelineStats, extract_logical_structure
 from repro.core.structure import LogicalStructure
 from repro.trace.model import Trace
@@ -93,9 +92,9 @@ def default_variants(
     """The standard matrix: order × infer, plus tie-break and backend twins.
 
     Base variants pin ``backend="python"`` — the reference implementation.
-    With ``backends=True`` (and NumPy available) columnar twins join the
-    matrix; Fact 3 then asserts they are *bit-identical* to their python
-    counterparts, not merely partition-equivalent.
+    With ``backends=True`` columnar twins join the matrix; Fact 3 then
+    asserts they are *bit-identical* to their python counterparts, not
+    merely partition-equivalent.
     """
     variants: List[Tuple[str, PipelineOptions]] = []
     for order in ("reordered", "physical"):
@@ -110,7 +109,7 @@ def default_variants(
              PipelineOptions(order="reordered", infer=True, tie_break="index",
                              backend="python"))
         )
-    if backends and HAVE_NUMPY:
+    if backends:
         variants.append(
             ("reordered/infer/columnar",
              PipelineOptions(order="reordered", infer=True, backend="columnar"))

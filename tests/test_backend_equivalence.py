@@ -26,10 +26,7 @@ from repro.apps import (
     pdes,
     sssp,
 )
-from repro.core.columnar import HAVE_NUMPY
 from repro.trace.faults import FAULT_KINDS, inject_fault
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
 
 #: The accepted names of the non-reference backend ("columnar_batched" is
 #: a legacy alias); each must be bit-identical to "python".

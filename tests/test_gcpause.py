@@ -19,7 +19,6 @@ import pytest
 
 from repro.api import PipelineOptions, PipelineStats, extract
 from repro.apps import lulesh
-from repro.core.columnar import HAVE_NUMPY
 from repro.core.gcpause import pause_gc
 
 
@@ -70,7 +69,6 @@ def test_pause_leaves_disabled_collector_alone():
 # ---------------------------------------------------------------------------
 # No full-heap collection may fire inside a batched extraction
 # ---------------------------------------------------------------------------
-@pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
 def test_no_full_collections_during_batched_extraction():
     # The quadratic came from older-generation collections rescanning the
     # whole live trace heap once per ~70k allocations.  With the stage
@@ -93,7 +91,6 @@ def test_no_full_collections_during_batched_extraction():
     assert len(collections) <= 3, collections
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
 def test_python_backend_keeps_collector_enabled():
     # The reference backend is the historical behavior — the pause is a
     # columnar-family optimization only.
@@ -119,7 +116,6 @@ def test_python_backend_keeps_collector_enabled():
 # Growth-ratio pin: initial must stay near-linear in events
 # ---------------------------------------------------------------------------
 @pytest.mark.bench
-@pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
 def test_initial_stage_scales_near_linearly():
     def initial_seconds(iterations):
         trace = lulesh.run_charm(chares=64, pes=8, iterations=iterations,

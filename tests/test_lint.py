@@ -569,6 +569,17 @@ def test_df005_phantom_output(pipeline_effects):
                for f in findings)
 
 
+def test_df005_derived_rung_writes_columnar_flag(pipeline_effects):
+    # The derived python rung is no named body, but it turns
+    # use_columnar off: a stage reading the flag must declare it written.
+    victim = next(s for s in STAGE_GRAPH if s.name == "dependency_merge")
+    graph = _mutate("dependency_merge", outputs=tuple(
+        k for k in victim.outputs if k != "use_columnar"))
+    findings = check_stage_graph(graph, SEED_KEYS, pipeline_effects)
+    assert any(f.rule == "DF005" and f.stage == "dependency_merge"
+               and "use_columnar" in f.message for f in findings)
+
+
 def test_injected_defect_surfaces_through_the_engine():
     victim = next(s for s in STAGE_GRAPH if s.name == "finalize")
     graph = _mutate("finalize", outputs=victim.outputs + ("phantom",))

@@ -17,10 +17,8 @@ import pytest
 
 from repro.api import PipelineOptions, extract
 from repro.apps import jacobi2d
-from repro.core.columnar import HAVE_NUMPY, build_initial_columnar
+from repro.core.columnar import build_initial_columnar
 from repro.core.merges import dependency_merge, repair_merge
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
 
 
 def _trace():

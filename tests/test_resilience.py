@@ -381,6 +381,42 @@ def test_fallback_paths_match_python_reference(trace, reference, monkeypatch):
                                                          backend="columnar"))
 
 
+class _RejectFirstResult:
+    """Stage hook failing ``stage``'s first result as a strict verifier
+    would.  Module-level: the finished structure (which carries the
+    options, hooks included) is pickled into the executor's snapshot."""
+
+    def __init__(self, stage):
+        self.stage = stage
+        self.rejected = False
+
+    def on_stage(self, stage, *, state=None, structure=None, seconds=0.0):
+        if stage == self.stage and not self.rejected:
+            self.rejected = True
+            raise InvariantViolationError(f"{stage} rejected", [])
+
+
+@pytest.mark.parametrize("stage", [
+    "initial", "dependency_merge", "repair_merge", "build_phases",
+    "local_steps", "global_steps",
+])
+def test_python_rung_of_every_columnar_stage(trace, reference, stage):
+    """Every stage that picks its kernels by ``use_columnar`` falls back
+    to its own body on the python kernels, and the rest of the run stays
+    there; ``stage_backends`` reports the kernels that actually ran."""
+    stats = PipelineStats()
+    structure = extract_logical_structure(
+        trace, PipelineOptions(hooks=_RejectFirstResult(stage),
+                               on_error="fallback"), stats)
+    assert structures_equal(structure, reference)
+    out = structure.degradation.outcome(stage)
+    assert (out.status, out.path) == ("fallback", "python_reference")
+    ran = list(stats.stage_backends)
+    at = ran.index(stage)
+    assert all(stats.stage_backends[s] == "columnar" for s in ran[:at])
+    assert all(stats.stage_backends[s] == "python" for s in ran[at:])
+
+
 def test_reorder_failure_degrades_to_physical_order(trace, monkeypatch):
     """Reorder failure → physical-time ordering, per the degradation
     matrix; the result matches a straight physical-order run."""
@@ -522,9 +558,9 @@ def test_pipeline_deadline_breach_fails_cleanly(trace, monkeypatch):
 
     real = pl.dependency_merge
 
-    def slow(state):
+    def slow(state, **kwargs):
         time.sleep(5.0)
-        real(state)
+        real(state, **kwargs)
 
     monkeypatch.setattr(pl, "dependency_merge", slow)
     with pytest.raises(StageBreachError):

@@ -213,6 +213,34 @@ def test_client_cannot_set_server_paths_or_removed_options(server, trace_file,
     assert not any(service.stats()["jobs"].values())
 
 
+@pytest.mark.parametrize("field,value", [
+    ("backend", "bogus"),
+    ("order", "sideways"),
+    ("mode", "spark"),
+    ("ingest", "lazy"),
+    ("repair", "aggressive"),
+    ("on_error", "ignore"),
+    ("hook_errors", "swallow"),
+    ("tie_break", "nope"),
+])
+def test_invalid_option_value_rejected_before_journaling(server, trace_file,
+                                                         field, value):
+    # Every enumerated option is checked at submit: a bad value answers
+    # 400 naming the field and never reaches the ledger or a worker.
+    port, service = server
+    _, body = http(port, "POST", "/v1/traces", trace_file.read_bytes())
+    ref = json.loads(body)["trace"]
+    options = {field: value}
+    if field == "tie_break":
+        options["order"] = "physical"  # an order that never consults it
+    request = json.dumps({"trace": ref, "options": options}).encode()
+    status, body = http(port, "POST", "/v1/jobs", request)
+    assert status == 400
+    assert field in json.loads(body)["error"]
+    assert not read_job_ledger(service.ledger_path)
+    assert not any(service.stats()["jobs"].values())
+
+
 def test_result_conflict_while_queued_and_gone_after_eviction(
         tmp_path, trace_file):
     service = JobService(tmp_path / "data", workers=0)  # nothing drains

@@ -4,12 +4,11 @@
 :class:`~repro.trace.model.Trace`) to the eager ``read_trace`` on the
 same file — same records, same extraction results — at every chunk
 size, for every bundled app, for MPI traces, and for the fault corpus
-under ingestion repair.  These are the differential twins the streaming
-operators (:mod:`repro.core.streaming`) and the turbo chunk parser
-promise; this file holds them to it, and pins the redesigned
-:func:`repro.api.open_trace` front door, the structured
-:class:`TraceFormatError` fields, the bounded-memory property of the
-reader, and pickling of the lazy columnar containers.
+under ingestion repair.  These are the differential twins the chunked
+reader and its turbo chunk parser promise; this file holds them to it,
+and pins the redesigned :func:`repro.api.open_trace` front door, the
+structured :class:`TraceFormatError` fields, the bounded-memory property
+of the reader, and pickling of the lazy columnar containers.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from repro.trace.faults import FAULT_KINDS, inject_fault
 from repro.trace.model import Trace
 from repro.trace.reader import (
     DEFAULT_CHUNK_BYTES,
-    HAVE_NUMPY,
     ReaderStats,
     TraceFormatError,
     read_trace,
@@ -52,8 +50,6 @@ from repro.trace.source import (
 )
 from repro.trace.validate import validate_trace
 from repro.trace.writer import write_trace
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
 
 APPS = {
     "jacobi2d": lambda: jacobi2d.run(chares=(4, 4), pes=4, iterations=2, seed=7),
@@ -315,7 +311,7 @@ def test_ingest_mode_selects_reader(tmp_path):
     eager = open_trace(path, ingest="eager").trace()
     assert isinstance(eager, Trace)
     assert not isinstance(eager, ColumnarTrace)
-    assert resolve_ingest("auto") == ("chunked" if HAVE_NUMPY else "eager")
+    assert resolve_ingest("auto") == "chunked"
     with pytest.raises(ValueError, match="ingest"):
         resolve_ingest("bogus")
 
@@ -332,45 +328,3 @@ def test_validate_accepts_source(tmp_path):
     path = _write(APPS["jacobi2d"](), tmp_path)
     validate_trace(open_trace(path))  # chunked columnar view; no raise
 
-
-# ---------------------------------------------------------------------------
-# Windowed kernels equal their whole-array twins at every window size.
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("window", [1, 3, 64, 100000])
-def test_windowed_kernels_match_batch(window):
-    np = pytest.importorskip("numpy")
-    from repro.core.columnar import _absorb_flags
-    from repro.core.streaming import absorb_flags_windowed, fold_partition_runs
-
-    rng = np.random.RandomState(13)
-    n = 257
-    serial = rng.rand(n) < 0.5
-    pe = rng.randint(0, 4, n)
-    start = np.sort(rng.rand(n) * 100)
-    end = start + rng.rand(n) * 1e-6
-    first_positions = np.unique(rng.randint(0, n, 10))
-    batch = _absorb_flags(serial, pe, start, end, first_positions, 1e-9)
-    windowed = absorb_flags_windowed(
-        serial, pe, start, end, first_positions, 1e-9, window)
-    assert np.array_equal(batch, windowed)
-
-    block_seq = np.repeat(np.arange(40), rng.randint(1, 12, 40))[:n]
-    rt_seq = rng.rand(len(block_seq)) < 0.3
-    boundary, newblock = fold_partition_runs(block_seq, rt_seq, window)
-    ref_new = np.empty(len(block_seq), np.bool_)
-    ref_new[0] = True
-    ref_new[1:] = block_seq[1:] != block_seq[:-1]
-    ref_bound = ref_new.copy()
-    ref_bound[1:] |= rt_seq[1:] != rt_seq[:-1]
-    assert np.array_equal(newblock, ref_new)
-    assert np.array_equal(boundary, ref_bound)
-
-
-@pytest.mark.parametrize("window", [1, 7, 1000])
-def test_extraction_window_invariant(window, tmp_path):
-    """The ingest window size never shows in the extracted structure."""
-    trace = APPS["jacobi2d"]()
-    base = extract(trace)
-    chunked = read_trace_chunked(_write(trace, tmp_path))
-    chunked.ingest_window = window
-    assert_structures_equal(base, extract(chunked))

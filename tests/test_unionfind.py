@@ -15,13 +15,13 @@ vectorized reference.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.partition import DisjointSets
 from repro.core.unionfind import (
-    HAVE_NUMPY,
     BatchUnionFind,
     batch_union,
     connected_components,
@@ -29,9 +29,6 @@ from repro.core.unionfind import (
 )
 
 pytestmark = pytest.mark.verify
-
-if HAVE_NUMPY:
-    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +166,6 @@ def test_shuffled_batches_reach_the_same_partition(problem, seed):
     assert membership(_roots_of(run_batch(n, shuffled, runtime)[0])) == baseline
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
 @settings(deadline=None, max_examples=60)
 @given(union_problems())
 def test_components_match_minlabel_reference(problem):
@@ -181,7 +177,6 @@ def test_components_match_minlabel_reference(problem):
     assert n - merged == len(set(labels.tolist()))
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
 @settings(deadline=None, max_examples=60)
 @given(union_problems())
 def test_roots_numpy_matches_per_element_find(problem):
@@ -225,8 +220,6 @@ def test_per_pair_union_equals_batch(problem, same_class_only):
 
 
 def test_numpy_candidate_columns_accepted():
-    if not HAVE_NUMPY:
-        pytest.skip("requires numpy")
     uf = BatchUnionFind(4)
     merged = uf.batch_union(np.array([0, 2]), np.array([1, 3]))
     assert merged == 2
@@ -239,8 +232,6 @@ def test_runtime_length_mismatch_rejected():
 
 
 def test_connected_components_rejects_ragged_edges():
-    if not HAVE_NUMPY:
-        pytest.skip("requires numpy")
     with pytest.raises(ValueError):
         connected_components(3, [0, 1], [2])
 

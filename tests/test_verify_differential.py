@@ -60,8 +60,6 @@ def test_app_passes_differential_verification(app):
 
 
 def test_variant_matrix_shape():
-    from repro.core.columnar import HAVE_NUMPY
-
     base = [
         "reordered/infer",
         "reordered/noinfer",
@@ -69,10 +67,7 @@ def test_variant_matrix_shape():
         "physical/noinfer",
         "reordered/infer/index",
     ]
-    backend_twins = (
-        ["reordered/infer/columnar", "physical/noinfer/columnar"]
-        if HAVE_NUMPY else []
-    )
+    backend_twins = ["reordered/infer/columnar", "physical/noinfer/columnar"]
     names = [name for name, _ in default_variants()]
     assert names == base + backend_twins
     assert [name for name, _ in default_variants(backends=False)] == base
