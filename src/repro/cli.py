@@ -200,6 +200,10 @@ def _load(path: str, ingest: str = "auto"):
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.json and args.render:
+        print("--render draws text, which --json output cannot carry; "
+              "drop one of them", file=sys.stderr)
+        return 2
     trace = _load(args.trace, args.ingest)
     options = pipeline_options_from_args(args)
     stats = PipelineStats()
@@ -221,12 +225,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(f"unknown metric {args.metric!r}", file=sys.stderr)
             return 2
 
+    attached = None if metric_map is None else {args.metric: metric_map}
     if args.json:
-        from repro.report import analysis_document
+        from repro.report import analysis_document, render_document
 
-        payload = {} if metric_map is None else {args.metric: metric_map}
-        doc = analysis_document(structure, stats, payload or None)
-        print(json.dumps(doc, indent=1))
+        doc = analysis_document(structure, stats, attached)
+        sys.stdout.write(render_document(doc))
+        _write_exports(args, structure, metric_map, attached)
         return 0
 
     print(structure.summary())
@@ -255,26 +260,35 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         else:
             print(render_logical(structure, max_steps=args.max_steps))
 
+    _write_exports(args, structure, metric_map, attached)
+    return 0
+
+
+def _write_exports(args, structure, metric_map, attached) -> None:
+    """Write the ``--svg``/``--html``/``--csv`` files ``analyze`` asked for.
+
+    With ``--json``, stdout is exactly the document, so the ``wrote``
+    notices go to stderr.
+    """
+    notices = sys.stderr if args.json else sys.stdout
     if args.svg:
         from repro.viz import write_svg
 
         write_svg(structure, args.svg, metric=metric_map,
                   max_steps=args.max_steps)
-        print(f"wrote {args.svg}")
+        print(f"wrote {args.svg}", file=notices)
     if args.html:
         from repro.viz import write_html
 
         write_html(structure, args.html, metric=metric_map,
                    metric_name=args.metric or "",
                    title=f"Logical structure: {args.trace}")
-        print(f"wrote {args.html}")
+        print(f"wrote {args.html}", file=notices)
     if args.csv:
         from repro.viz import write_csv
 
-        payload = {} if metric_map is None else {args.metric: metric_map}
-        write_csv(structure, args.csv, payload or None)
-        print(f"wrote {args.csv}")
-    return 0
+        write_csv(structure, args.csv, attached)
+        print(f"wrote {args.csv}", file=notices)
 
 
 def cmd_profile(args: argparse.Namespace) -> int:

@@ -8,7 +8,8 @@ inherits its per-job timeout, retries, and crash containment.  The
 payload is the full :func:`repro.report.analysis_document` — the same
 dict ``repro analyze --json`` prints — rather than the compact batch
 summary, because service clients fetch complete results, not campaign
-bookkeeping rows.
+bookkeeping rows.  :func:`~repro.report.render_document`, the payload's
+wire rendering, is re-exported here for the job service.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ from repro.core.pipeline import (
     PipelineStats,
     extract_logical_structure,
 )
-from repro.report import analysis_document
+from repro.report import analysis_document, render_document
 from repro.trace.model import Trace
 from repro.trace.source import open_trace
+
+__all__ = ["analyze_one", "render_document"]
 
 
 def analyze_one(source, option_fields: dict):
@@ -44,14 +47,3 @@ def analyze_one(source, option_fields: dict):
         error = f"{type(exc).__name__}: {exc}"
         return False, {}, error, _time.perf_counter() - t0  # repro-lint: disable=DET001 reason=job timing telemetry, never keyed or cached
 
-
-def render_document(doc: dict) -> str:
-    """The canonical wire/disk rendering of an analysis document.
-
-    Byte-identical to ``repro analyze --json`` stdout (``json.dumps``
-    with ``indent=1`` plus the trailing newline ``print`` adds), so a
-    ``curl`` of a job result diffs clean against the CLI.
-    """
-    import json
-
-    return json.dumps(doc, indent=1) + "\n"

@@ -3,54 +3,80 @@
 from __future__ import annotations
 
 import csv
-import json
+from itertools import repeat
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
 
+import numpy as np
+
+from repro.core.columnar import EventTable, ExecTable
 from repro.core.structure import LogicalStructure
+from repro.report import encode_json
+from repro.trace.events import EventKind
+
+
+def _per_value(values: np.ndarray, lookup) -> np.ndarray:
+    """``lookup(v)`` for each of ``values``, called once per distinct v."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    table = np.empty(len(distinct), dtype=object)
+    table[:] = [lookup(v) for v in distinct.tolist()]
+    return table[inverse]
 
 
 def structure_to_rows(
     structure: LogicalStructure,
     metrics: Optional[Dict[str, Mapping[int, float]]] = None,
 ) -> List[Dict[str, object]]:
-    """One row per stepped event: identity, placement, optional metrics."""
+    """One row per stepped event: identity, placement, optional metrics.
+
+    Rows are ordered by (step, chare, event id).  They are built from
+    the trace's :class:`~repro.core.columnar.EventTable` /
+    ``ExecTable`` columns, never from per-event records; names and
+    flags are looked up once per distinct kind, chare and entry, and
+    every value is a plain ``int``/``float``/``str``/``bool``.  Each
+    metric adds a column ``mapping.get(event, 0.0)``.
+    """
     trace = structure.trace
-    metrics = metrics or {}
-    rows: List[Dict[str, object]] = []
-    for ev, step in enumerate(structure.step_of_event):
-        if step < 0:
-            continue
-        rec = trace.events[ev]
-        entry = ""
-        if rec.execution >= 0:
-            entry = trace.entry(trace.executions[rec.execution].entry).name
-        row: Dict[str, object] = {
-            "event": ev,
-            "kind": rec.kind.name,
-            "chare": rec.chare,
-            "chare_name": trace.chares[rec.chare].name,
-            "is_runtime": trace.chares[rec.chare].is_runtime,
-            "pe": rec.pe,
-            "time": rec.time,
-            "entry": entry,
-            "phase": structure.phase_of_event[ev],
-            "step": step,
-            "local_step": structure.local_step_of_event[ev],
-        }
-        for name, mapping in metrics.items():
-            row[name] = mapping.get(ev, 0.0)
-        rows.append(row)
-    rows.sort(key=lambda r: (r["step"], r["chare"]))
-    return rows
+    table = EventTable.of(trace)
+    steps = np.asarray(structure.step_of_event, dtype=np.int64)
+    ev = np.flatnonzero(steps >= 0)
+    ev = ev[np.lexsort((ev, table.chare[ev], steps[ev]))]
+    chare = table.chare[ev]
+    execution = table.execution[ev]
+    traced = execution >= 0
+    entry = np.full(len(ev), "", dtype=object)
+    if traced.any():
+        entry[traced] = _per_value(
+            ExecTable.of(trace).entry[execution[traced]],
+            lambda e: trace.entry(e).name)
+    chares = _per_value(chare, lambda c: trace.chares[c]).tolist()
+    columns = {
+        "event": ev.tolist(),
+        "kind": _per_value(table.kind[ev],
+                           lambda k: EventKind(k).name).tolist(),
+        "chare": chare.tolist(),
+        "chare_name": [c.name for c in chares],
+        "is_runtime": [c.is_runtime for c in chares],
+        "pe": table.pe[ev].tolist(),
+        "time": table.time[ev].tolist(),
+        "entry": entry.tolist(),
+        "phase": np.asarray(structure.phase_of_event, np.int64)[ev].tolist(),
+        "step": steps[ev].tolist(),
+        "local_step": np.asarray(structure.local_step_of_event,
+                                 np.int64)[ev].tolist(),
+    }
+    for name, mapping in (metrics or {}).items():
+        columns[name] = list(map(mapping.get, columns["event"], repeat(0.0)))
+    keys = tuple(columns)
+    return [dict(zip(keys, values)) for values in zip(*columns.values())]
 
 
-def structure_to_json(
+def structure_document(
     structure: LogicalStructure,
     metrics: Optional[Dict[str, Mapping[int, float]]] = None,
-) -> str:
-    """JSON document: summary, phase DAG, and per-event placement rows."""
-    doc = {
+) -> Dict[str, object]:
+    """Summary, phase DAG and per-event placement rows, as one dict."""
+    return {
         "summary": structure.summary(),
         "phases": [
             {
@@ -68,7 +94,14 @@ def structure_to_json(
         ],
         "events": structure_to_rows(structure, metrics),
     }
-    return json.dumps(doc, indent=1)
+
+
+def structure_to_json(
+    structure: LogicalStructure,
+    metrics: Optional[Dict[str, Mapping[int, float]]] = None,
+) -> str:
+    """JSON document: summary, phase DAG, and per-event placement rows."""
+    return encode_json(structure_document(structure, metrics))
 
 
 def write_csv(

@@ -7,10 +7,15 @@ figures (rings, split blocks, idle scenarios) in a few lines.
 ``random_trace`` generates seeded, physically valid traces of arbitrary
 shape (charm task trees or MPI neighbour exchanges, with optional runtime
 chares and timing noise) for the property-based invariant suite.
+
+``reference_rows`` / ``reference_document`` are the per-event oracle of
+the analysis document: record by record through ``trace.events``, a
+stable sort, and a ``json`` encode/decode round trip.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from typing import Dict, List, Optional, Tuple
 
@@ -24,6 +29,72 @@ def structures_equal(a, b) -> bool:
             and a.phase_of_event == b.phase_of_event
             and a.local_step_of_event == b.local_step_of_event
             and len(a.phases) == len(b.phases))
+
+
+def reference_rows(structure, metrics=None) -> List[dict]:
+    """Per-event document rows, one ``trace.events`` record at a time."""
+    trace = structure.trace
+    rows = []
+    for ev, step in enumerate(structure.step_of_event):
+        if step < 0:
+            continue
+        rec = trace.events[ev]
+        entry = ""
+        if rec.execution >= 0:
+            entry = trace.entry(trace.executions[rec.execution].entry).name
+        row = {
+            "event": ev,
+            "kind": rec.kind.name,
+            "chare": rec.chare,
+            "chare_name": trace.chares[rec.chare].name,
+            "is_runtime": trace.chares[rec.chare].is_runtime,
+            "pe": rec.pe,
+            "time": rec.time,
+            "entry": entry,
+            "phase": structure.phase_of_event[ev],
+            "step": step,
+            "local_step": structure.local_step_of_event[ev],
+        }
+        for name, mapping in (metrics or {}).items():
+            row[name] = mapping.get(ev, 0.0)
+        rows.append(row)
+    rows.sort(key=lambda r: (r["step"], r["chare"]))
+    return rows
+
+
+def reference_document(structure, stats, metrics=None) -> dict:
+    """The analysis document, assembled through a JSON round trip."""
+    doc = {
+        "summary": structure.summary(),
+        "phases": [
+            {
+                "id": p.id,
+                "leap": p.leap,
+                "is_runtime": p.is_runtime,
+                "offset": p.offset,
+                "max_local_step": p.max_local_step,
+                "events": len(p.events),
+                "chares": sorted(p.chares),
+                "preds": sorted(p.preds),
+                "succs": sorted(p.succs),
+            }
+            for p in structure.phases
+        ],
+        "events": reference_rows(structure, metrics),
+    }
+    doc = json.loads(json.dumps(doc, indent=1))
+    doc["backend"] = stats.backend
+    doc["stage_backends"] = dict(stats.stage_backends)
+    if stats.repair is not None:
+        doc["repair"] = stats.repair
+    if stats.degradation is not None:
+        degradation = dict(stats.degradation)
+        degradation["stages"] = [
+            {k: v for k, v in outcome.items() if k != "seconds"}
+            for outcome in degradation.get("stages", [])
+        ]
+        doc["degradation"] = degradation
+    return doc
 
 
 class SyntheticTrace:

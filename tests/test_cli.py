@@ -65,6 +65,39 @@ def test_analyze_json(trace_file, capsys):
     assert doc["summary"]["phases"] == 4
 
 
+def test_analyze_json_writes_requested_exports(trace_file, tmp_path, capsys):
+    from repro.core.pipeline import PipelineStats, extract_logical_structure
+    from repro.metrics import differential_duration
+    from repro.report import analysis_document, render_document
+    from repro.trace import open_trace
+
+    svg, csv, html = (tmp_path / "o.svg", tmp_path / "o.csv",
+                      tmp_path / "o.html")
+    rc = main(["analyze", str(trace_file), "--json", "--metric", "diffdur",
+               "--csv", str(csv), "--svg", str(svg), "--html", str(html)])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    # stdout is exactly the document of the same run; notices go to stderr
+    stats = PipelineStats()
+    structure = extract_logical_structure(open_trace(trace_file).trace(),
+                                          stats=stats)
+    metric = {"diffdur": differential_duration(structure).by_event}
+    assert out == render_document(analysis_document(structure, stats, metric))
+    assert svg.read_text().startswith("<svg")
+    assert "diffdur" in csv.read_text().splitlines()[0]
+    assert html.read_text().startswith("<!DOCTYPE html>")
+    for path in (svg, csv, html):
+        assert f"wrote {path}" in err
+
+
+def test_analyze_json_rejects_render(trace_file, capsys):
+    rc = main(["analyze", str(trace_file), "--json", "--render", "logical"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--render" in err and "--json" in err
+
+
 def test_analyze_metric_and_exports(trace_file, tmp_path, capsys):
     svg = tmp_path / "s.svg"
     csv = tmp_path / "e.csv"
