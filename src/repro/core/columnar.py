@@ -36,7 +36,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+# NumPy 2's np.unique imports numpy.ma on its first call; importing it
+# here keeps each forked ``repro batch`` worker from paying that import
+# again for every trace.
 import numpy as np
+import numpy.ma  # noqa: F401
 
 from repro.core.initial import (
     Block,
@@ -45,6 +49,7 @@ from repro.core.initial import (
 )
 from repro.core.partition import EdgeKind, PartitionState
 from repro.core.reorder import MAX_KEY_DEPTH
+from repro.core.unionfind import batch_union
 from repro.trace.events import EventKind
 from repro.trace.model import Trace
 
@@ -618,6 +623,12 @@ class ColumnarPartitionState(PartitionState):
                 out[r][c] = e
         return out
 
+    def event_fields(self, evs: Sequence[int], *names: str) -> List[list]:
+        """Column gather of :meth:`PartitionState.event_fields`: no event
+        record is built (kinds come back as ints, times as floats)."""
+        idx = np.asarray(evs, np.int64)
+        return [getattr(self.table, name)[idx].tolist() for name in names]
+
     def adjacency(self) -> Tuple[Dict[int, Set[int]], Dict[int, Set[int]]]:
         # The result is a pure function of (roots, edges).  ``dsu.count``
         # strictly decreases on every union and ``edges`` only grows, so
@@ -672,8 +683,6 @@ class ColumnarPartitionState(PartitionState):
         dict insertion orders and phase tie-breaks match the python
         reference loops.
         """
-        from repro.core.unionfind import batch_union
-
         dsu = self.dsu
         merged = batch_union(dsu.parent, dsu.size, self._root_runtime,
                              a_ids, b_ids, same_class_only=same_class_only)

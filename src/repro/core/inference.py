@@ -54,12 +54,15 @@ def infer_source_dependencies(state: PartitionState) -> int:
     happened-before edges.  Cycles created by conflicting inferences are
     merged away.
     """
-    events = state.trace.events
+    initial = [(root, chare, ev)
+               for root, by_chare in partition_initial_events(state).items()
+               for chare, ev in by_chare.items()]
+    kinds, times = state.event_fields([ev for _, _, ev in initial],
+                                      "kind", "time")
     per_chare: Dict[int, List[Tuple[float, int, int]]] = {}
-    for root, by_chare in partition_initial_events(state).items():
-        for chare, ev in by_chare.items():
-            if events[ev].kind == EventKind.SEND:
-                per_chare.setdefault(chare, []).append((events[ev].time, ev, root))
+    for (root, chare, ev), kind, time in zip(initial, kinds, times):
+        if kind == EventKind.SEND:
+            per_chare.setdefault(chare, []).append((time, ev, root))
 
     added = 0
     find = state.dsu.find
@@ -126,28 +129,29 @@ def _compare_partitions(
     chares' initial events, then shared processors' earliest events, then
     the partitions' global earliest events.  Returns ``(earlier, later)``.
     """
-    events = state.trace.events
     p_init, q_init = init[p], init[q]
+    p_time, p_pe = state.event_fields(list(p_init.values()), "time", "pe")
+    q_time, q_pe = state.event_fields(list(q_init.values()), "time", "pe")
     shared = set(p_init) & set(q_init)
     if shared:
-        tp = min(events[p_init[c]].time for c in shared)
-        tq = min(events[q_init[c]].time for c in shared)
+        p_at = dict(zip(p_init, p_time))
+        q_at = dict(zip(q_init, q_time))
+        tp = min(p_at[c] for c in shared)
+        tq = min(q_at[c] for c in shared)
     else:
         p_by_pe: Dict[int, float] = {}
         q_by_pe: Dict[int, float] = {}
-        for ev in p_init.values():
-            pe = events[ev].pe
-            p_by_pe[pe] = min(p_by_pe.get(pe, float("inf")), events[ev].time)
-        for ev in q_init.values():
-            pe = events[ev].pe
-            q_by_pe[pe] = min(q_by_pe.get(pe, float("inf")), events[ev].time)
+        for pe, time in zip(p_pe, p_time):
+            p_by_pe[pe] = min(p_by_pe.get(pe, float("inf")), time)
+        for pe, time in zip(q_pe, q_time):
+            q_by_pe[pe] = min(q_by_pe.get(pe, float("inf")), time)
         shared_pes = set(p_by_pe) & set(q_by_pe)
         if shared_pes:
             tp = min(p_by_pe[pe] for pe in shared_pes)
             tq = min(q_by_pe[pe] for pe in shared_pes)
         else:
-            tp = min(events[ev].time for ev in p_init.values())
-            tq = min(events[ev].time for ev in q_init.values())
+            tp = min(p_time)
+            tq = min(q_time)
     if (tp, p) <= (tq, q):
         return p, q
     return q, p

@@ -17,7 +17,7 @@ complexity discussion (Section 3.3).
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 
 class EdgeKind(IntEnum):
@@ -184,6 +184,13 @@ class PartitionState:
             for e in evs:
                 bucket.add(events[e].chare)
         return out
+
+    def event_fields(self, evs: Sequence[int], *names: str) -> List[list]:
+        """One list per named event field (``kind``, ``chare``, ``pe``,
+        ``time``), each holding that field of the events ``evs``."""
+        events = self.trace.events
+        recs = [events[e] for e in evs]
+        return [[getattr(rec, name) for rec in recs] for name in names]
 
     def adjacency(self) -> Tuple[Dict[int, Set[int]], Dict[int, Set[int]]]:
         """(successors, predecessors) of the current contracted graph.

@@ -579,12 +579,20 @@ def extract_logical_structure(
         part_events = state.partition_events()
         # partition_events lists are (time, id)-sorted: the first event
         # holds the minimum time.
+        nonempty = [r for r, evs in part_events.items() if evs]
+        (first_times,) = state.event_fields(
+            [part_events[r][0] for r in nonempty], "time")
+        first_time = dict(zip(nonempty, first_times))
         roots = sorted(
             part_events,
-            key=lambda r: (leaps[r],
-                           events[part_events[r][0]].time if part_events[r] else 0.0,
-                           r),
+            key=lambda r: (leaps[r], first_time.get(r, 0.0), r),
         )
+        # A columnar partition's chare -> first-event map lists the
+        # distinct chares of its events in (time, id) order, so a set
+        # comprehension over it inserts them in the same order as one over
+        # the events (``set(dict)`` would presize the table instead).
+        first_of = (state.initial_events_by_chare() if ctx["use_columnar"]
+                    else None)
         phase_index = {root: i for i, root in enumerate(roots)}
         phases: List[Phase] = []
         for root in roots:
@@ -593,7 +601,8 @@ def extract_logical_structure(
                 Phase(
                     id=phase_index[root],
                     events=evs,
-                    chares={events[e].chare for e in evs},
+                    chares=({c for c in first_of[root]} if first_of is not None
+                            else {events[e].chare for e in evs}),
                     is_runtime=state.is_runtime(root),
                     leap=leaps[root],
                     preds={phase_index[q] for q in preds[root]},
@@ -634,7 +643,7 @@ def extract_logical_structure(
             elif mode == "mpi":
                 orders = reordered_order_mp(
                     trace_, phase.events, initial.block_of_event,
-                    _ordered=ordered_np.tolist(),
+                    _ordered=ordered_np.tolist(), _table=table,
                 )
             else:
                 orders = columnar.task_order_columnar(

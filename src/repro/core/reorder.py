@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.trace.events import NO_ID, EventKind
 from repro.trace.model import Trace
 
@@ -176,6 +178,7 @@ def reordered_order_mp(
     phase_events: Sequence[int],
     block_of_event: Sequence[int],
     _ordered: Optional[List[int]] = None,
+    _table=None,
 ) -> Dict[int, List[int]]:
     """Per-process order for the message-passing model: pinned sends.
 
@@ -183,34 +186,45 @@ def reordered_order_mp(
     a stable sort by ``w`` keeps every send after the receives that came
     before it, while receives are free to reorder (Figure 9).
 
-    ``_ordered`` is the (time, id)-sorted event list when the caller
-    already has it (columnar backend); the send w depends on a running
-    max over earlier receives, so the clock itself stays a replay loop.
+    ``_ordered`` is the (time, id)-sorted event list and ``_table`` the
+    trace's :class:`~repro.core.columnar.EventTable` when the caller has
+    them (columnar backend): kinds, chares and message partners are then
+    gathered from its columns instead of event records.  The send w
+    depends on a running max over earlier receives, so the clock itself
+    stays a replay loop.
     """
     events = trace.events
-    in_phase = set(phase_events)
-    w: Dict[int, int] = {}
-    max_recv_w: Dict[int, int] = {}  # chare -> max w over receives so far
     ordered = (_ordered if _ordered is not None
                else sorted(phase_events, key=lambda e: (events[e].time, e)))
-    for ev in ordered:
-        rec = events[ev]
-        if rec.kind == EventKind.RECV:
+    if _table is not None:
+        idx = np.asarray(ordered, np.int64)
+        kinds = _table.kind[idx].tolist()
+        chares = _table.chare[idx].tolist()
+        partners = _table.partner_send[idx].tolist()
+    else:
+        recs = [events[ev] for ev in ordered]
+        kinds = [rec.kind for rec in recs]
+        chares = [rec.chare for rec in recs]
+        partners = []
+        for ev in ordered:
             mid = trace.message_by_recv[ev]
-            send = trace.messages[mid].send_event if mid != NO_ID else NO_ID
-            if send != NO_ID and send in in_phase and send in w:
-                value = w[send] + 1
-            else:
-                value = 0
-            max_recv_w[rec.chare] = max(max_recv_w.get(rec.chare, -1), value)
+            partners.append(trace.messages[mid].send_event
+                            if mid != NO_ID else NO_ID)
+    w: Dict[int, int] = {}
+    max_recv_w: Dict[int, int] = {}  # chare -> max w over receives so far
+    for ev, kind, chare, send in zip(ordered, kinds, chares, partners):
+        if kind == EventKind.RECV:
+            # ``w`` only holds events of this phase seen so far.
+            value = w[send] + 1 if send in w else 0
+            max_recv_w[chare] = max(max_recv_w.get(chare, -1), value)
         else:
-            prior = max_recv_w.get(rec.chare)
+            prior = max_recv_w.get(chare)
             value = 0 if prior is None else prior + 1
         w[ev] = value
 
     out: Dict[int, List[int]] = {}
-    for ev in ordered:
-        out.setdefault(events[ev].chare, []).append(ev)
+    for ev, chare in zip(ordered, chares):
+        out.setdefault(chare, []).append(ev)
     for chare, evs in out.items():
         evs.sort(key=lambda e: w[e])  # stable: physical order breaks ties
     return out

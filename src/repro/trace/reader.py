@@ -18,18 +18,25 @@ Two readers share the format:
   Results are bit-identical to the eager reader (differential twins in
   ``tests/test_streaming_ingest.py``).
 
-Each chunk first tries a batched fast path.  Because the writer emits
-records in sections (all execs, then all events, ...), most chunks hold
-lines of a single kind: those are validated wholesale by one capture-free
-anchored regular expression matching the writer's exact line layout, then
-parsed numerically at C speed (token stripping + one vectorized
-str→float64 pass).  Mixed chunks at section boundaries fall back to per-kind capture
-regexes.  Any line neither path can account for — foreign field order,
-malformed JSON, a torn final chunk — sends the whole chunk through the
-per-line ``json.loads`` slow path, which also produces precise errors: a
-:class:`TraceFormatError` from the chunked reader carries the record
-``kind``, the 1-based ``line``, and the absolute byte ``offset`` of the
-offending line.
+Each chunk takes one of two paths.  The writer emits records in per-kind
+sections (header and registries, then all execs, all events, all messages,
+all idles), so a chunk holds at most one section per bulk kind plus
+registry lines.  The vectorized path splits the chunk at the first and
+last line that starts with each bulk kind's writer prefix, checks that
+these sections do not overlap, validates each one wholesale with a
+per-line regular expression of the writer's exact layout (JSON numbers in
+ASCII, event kinds 0/1), and parses it numerically at C speed (token
+stripping + one vectorized str→float64 pass).  Every line outside the
+sections must be blank or a registry line, which ``json.loads`` reads.
+Every chunk the writer produces takes this path, at any chunk size.
+
+Anything else goes to the per-line ``json.loads`` slow path: kinds
+interleaved, foreign field order, a blank or CRLF line inside a section,
+numbers JSON rejects (leading zeros, non-ASCII digits), an event kind
+other than 0/1, malformed JSON, a torn final line.  It is correct but
+slower, and it produces the precise errors: a :class:`TraceFormatError`
+from the chunked reader carries the record ``kind``, the 1-based
+``line``, and the absolute byte ``offset`` of the offending line.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from typing import IO, Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.trace.columns import ColumnarTrace, TraceColumns
 from repro.trace.events import (
     Chare,
     ChareArray,
@@ -61,10 +69,11 @@ DEFAULT_CHUNK_BYTES = 4 << 20
 class TraceFormatError(ValueError):
     """Raised when a trace file is malformed.
 
-    The chunked reader populates the structured fields: ``kind`` is the
-    record type being parsed (None when it could not be determined),
-    ``line`` the 1-based line number, and ``offset`` the absolute byte
-    offset of the start of the offending line.
+    Structured fields: ``kind`` is the record type being parsed (None
+    when it could not be determined), ``line`` the 1-based line number,
+    and ``offset`` the absolute byte offset of the start of the offending
+    line.  The chunked reader fills all three; the eager reader fills
+    ``kind`` and ``line`` where it knows them, never ``offset``.
     """
 
     def __init__(self, message: str, *, kind: Optional[str] = None,
@@ -125,6 +134,7 @@ def _read_stream(fh: IO[str]) -> Trace:
                 rec["id"], rec["c"], rec["e"], rec["pe"], rec["s"], rec["x"], rec.get("rv", -1)
             )
         elif kind == "event":
+            _check_event_kind(rec["k"], lineno)
             events[rec["id"]] = DepEvent(
                 rec["id"], EventKind(rec["k"]), rec["c"], rec["pe"], rec["tm"], rec.get("ex", -1)
             )
@@ -151,6 +161,16 @@ def _read_stream(fh: IO[str]) -> Trace:
         num_pes=header["num_pes"],
         metadata=header.get("metadata", {}),
     )
+
+
+def _check_event_kind(value, line: int, offset: Optional[int] = None) -> None:
+    """Reject an event kind other than 0 (SEND) or 1 (RECV)."""
+    if value not in (0, 1):
+        where = f"line {line}" if offset is None else \
+            f"line {line} (byte {offset})"
+        raise TraceFormatError(
+            f"{where}: event kind {value!r} is not 0 (SEND) or 1 (RECV)",
+            kind="event", line=line, offset=offset)
 
 
 def _densify(records: Dict[int, object], label: str) -> list:
@@ -185,56 +205,46 @@ class ReaderStats:
     peak_chunk_records: int = 0
 
 
-# JSON number per the grammar json.dumps emits (plus the non-standard
-# Infinity/NaN the stdlib allows); anything else falls back to the
-# per-line slow path, never to a laxer parse.
-_NUM = r"(-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?|-?Infinity|NaN)"
-_INT = r"(-?\d+)"
-
-_EVENT_RE = re.compile(
-    r'^\{"t": "event", "id": %s, "k": %s, "c": %s, "pe": %s, "tm": %s, '
-    r'"ex": %s\}$' % (_INT, _INT, _INT, _INT, _NUM, _INT), re.M)
-_EXEC_RE = re.compile(
-    r'^\{"t": "exec", "id": %s, "c": %s, "e": %s, "pe": %s, "s": %s, '
-    r'"x": %s, "rv": %s\}$' % (_INT, _INT, _INT, _INT, _NUM, _NUM, _INT), re.M)
-_MSG_RE = re.compile(
-    r'^\{"t": "msg", "id": %s, "s": %s, "r": %s\}$' % (_INT, _INT, _INT),
-    re.M)
-_IDLE_RE = re.compile(
-    r'^\{"t": "idle", "pe": %s, "s": %s, "x": %s\}$' % (_INT, _NUM, _NUM),
-    re.M)
-#: Registry/header lines are few; they are matched wholesale here and
-#: handed to json.loads individually.
-_OTHER_RE = re.compile(r'^\{"t": "(?:header|entry|array|chare)", .*\}$', re.M)
-_BLANK_RE = re.compile(r"^[ \t\r]*$", re.M)
+# JSON numbers in ASCII (plus the non-standard Infinity/NaN the stdlib
+# emits and accepts): ``\d`` would admit any Unicode digit, and a bare
+# ``-?\d+`` leading zeros, neither of which json.loads reads.  A line
+# outside this grammar goes to the per-line slow path, never to a laxer
+# parse.
+_JSON_INT = r"-?(?:0|[1-9][0-9]*)"
+_JSON_NUM = (r"(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+             r"|-?Infinity|NaN)")
+#: Field grammar per layout code: an integer, any JSON number, or an
+#: event kind (0 = SEND, 1 = RECV; the slow path reports anything else).
+_GRAMMAR = {"i": _JSON_INT, "f": _JSON_NUM, "k": r"[01]"}
 
 #: Largest integer magnitude that survives a float64 round-trip exactly.
-#: The single-kind numeric parse goes through float64; int columns above
-#: this bound are re-parsed by a slower exact path instead.
+#: The section parse goes through float64; int columns above this bound
+#: are re-parsed by a slower exact path instead.
 _INT_EXACT = 1 << 53
 
 
 class _TurboKind:
-    """Single-kind chunk recipe: validation regex + token strip plan."""
+    """Section recipe of one bulk kind: line pattern + token strip plan."""
 
-    __slots__ = ("prefix", "tokens", "casts", "validate")
+    __slots__ = ("prefix", "tokens", "casts", "line")
 
-    def __init__(self, tag: str, keys, casts: str):
-        num_nc = r"(?:-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?|-?Infinity|NaN)"
-        int_nc = r"(?:-?\d+)"
+    def __init__(self, tag: str, keys, layout: str):
         self.prefix = '{"t": "%s", "%s": ' % (tag, keys[0])
         self.tokens = tuple(', "%s": ' % k for k in keys[1:])
-        self.casts = casts
+        self.casts = layout.replace("k", "i")  # column dtype: int or float
         line = r'\{"t": "%s"' % tag + "".join(
-            r', "%s": %s' % (k, int_nc if c == "i" else num_nc)
-            for k, c in zip(keys, casts)
+            r', "%s": %s' % (k, _GRAMMAR[code]) for k, code in zip(keys, layout)
         ) + r"\}"
-        self.validate = re.compile(r"(?:%s\n)*(?:%s\n?)?" % (line, line))
+        # One writer line, ended by a newline or the end of the section.
+        # ``subn`` of this over a section leaves "" iff the section is
+        # exactly a run of such lines — what ``(?:line\n)*(?:line\n?)?``
+        # fullmatches, at a fraction of the backtracking cost.
+        self.line = re.compile(r"%s(?:\n|\Z)" % line)
 
 
-#: Per-kind turbo recipes, keyed like the builder's column families.
+#: Per-kind section recipes, keyed like the builder's column families.
 _TURBO = {
-    "event": _TurboKind("event", ("id", "k", "c", "pe", "tm", "ex"), "iiiifi"),
+    "event": _TurboKind("event", ("id", "k", "c", "pe", "tm", "ex"), "ikiifi"),
     "exec": _TurboKind("exec", ("id", "c", "e", "pe", "s", "x", "rv"),
                        "iiiiffi"),
     "msg": _TurboKind("msg", ("id", "s", "r"), "iii"),
@@ -242,6 +252,25 @@ _TURBO = {
 }
 _REGISTRY_PREFIXES = ('{"t": "header"', '{"t": "entry"', '{"t": "array"',
                       '{"t": "chare"')
+_REGISTRY_KINDS = ("header", "entry", "array", "chare")
+
+
+def _section_bounds(text: str, prefix: str):
+    """``(start, end)`` of the span from the first to the last line of
+    ``text`` that starts with ``prefix`` (``end`` just past that line's
+    newline), or None when no line does."""
+    head = text.startswith(prefix)
+    last = text.rfind("\n" + prefix) + 1
+    if not (head or last):
+        return None
+    first = 0 if head else text.find("\n" + prefix) + 1
+    end = text.find("\n", last) + 1
+    return first, end or len(text)
+
+
+def _line_count(text: str) -> int:
+    """Lines in ``text``: each ends in a newline except possibly the last."""
+    return text.count("\n") + (not text.endswith("\n"))
 
 
 class _GrowColumn:
@@ -320,36 +349,88 @@ class _ChunkedBuilder:
 
     def _feed_fast(self, text: str, nlines: int) -> bool:
         """Batched parse of a whole chunk; False to request the slow path
-        (nothing is committed in that case)."""
-        counts = {kind: text.count(tk.prefix) for kind, tk in _TURBO.items()}
-        registry_lines = any(text.count(p) for p in _REGISTRY_PREFIXES)
-        active = [kind for kind, n in counts.items() if n]
-        # The writer emits records in per-kind sections, so almost every
-        # chunk is pure: one bulk kind, no registry lines, no blanks.
-        # Those parse without per-line (or even per-record) python work.
-        if len(active) == 1 and not registry_lines \
-                and counts[active[0]] == nlines:
-            arrays = self._parse_single_kind(text, nlines, active[0])
-            if arrays is not None:
-                for col, arr in zip(self._cols_of(active[0]), arrays):
-                    col.extend(arr)
-                self.stats.records += nlines
-                self.stats.peak_chunk_records = max(
-                    self.stats.peak_chunk_records, nlines)
-                return True
-        return self._feed_mixed(text, nlines)
+        (nothing is committed in that case).
 
-    def _parse_single_kind(self, text: str, n: int, kind: str):
-        """Validate + numerically parse a pure single-kind chunk.
+        The writer emits records in per-kind sections, so a chunk is at
+        most one section per bulk kind plus registry lines.  Each section
+        — first to last line starting with the kind's writer prefix — is
+        validated and parsed wholesale; every other line must be blank or
+        a registry line.  Anything else (interleaved kinds, foreign field
+        order, a blank or CRLF line inside a section, a non-JSON number)
+        leaves the chunk to the slow path.
+        """
+        if _line_count(text) != nlines:
+            return False  # line ends readlines() split on but we do not
+        sections = []
+        for kind, tk in _TURBO.items():
+            bounds = _section_bounds(text, tk.prefix)
+            if bounds is not None:
+                sections.append((*bounds, kind))
+        sections.sort()
+        gaps = []
+        pos = 0
+        for start, end, _ in sections:
+            if start < pos:
+                return False  # sections overlap: kinds are interleaved
+            gaps.append(text[pos:start])
+            pos = end
+        gaps.append(text[pos:])
+        # Stage everything before committing so a failed section or
+        # registry line cannot leave half a chunk behind for the slow path
+        # to repeat.
+        staged = []
+        recs = 0
+        for start, end, kind in sections:
+            section = text[start:end]
+            n = _line_count(section)
+            arrays = self._parse_single_kind(section, n, kind)
+            if arrays is None:
+                return False
+            staged.append((self._cols_of(kind), arrays))
+            recs += n
+        # Sections start and end at line ends, so the gaps join into
+        # whole lines.
+        rest = "".join(gaps).split("\n")
+        if not rest[-1]:
+            rest.pop()  # the empty string after the final newline
+        registry = []
+        for line in rest:
+            if not line.strip(" \t\r"):
+                continue  # blank
+            if not line.startswith(_REGISTRY_PREFIXES):
+                return False
+            try:
+                rec = json.loads(line)
+                if rec["t"] not in _REGISTRY_KINDS:
+                    return False
+                registry.append(self._registry_entry(rec))
+            except (ValueError, KeyError, TypeError):
+                return False  # odd literal or registry field
+            recs += 1
+        for cols, arrays in staged:
+            for col, arr in zip(cols, arrays):
+                col.extend(arr)
+        for target, key, value in registry:
+            if target is None:
+                self.header = value
+            else:
+                target[key] = value
+        self.stats.records += recs
+        self.stats.peak_chunk_records = max(self.stats.peak_chunk_records,
+                                            recs)
+        return True
 
-        Returns the per-column arrays, or None when the chunk is not
+    def _parse_single_kind(self, section: str, n: int, kind: str):
+        """Validate + numerically parse one single-kind section.
+
+        Returns the per-column arrays, or None when the section is not
         exactly ``n`` writer-layout lines of ``kind`` (or holds numbers a
         float64 pass cannot carry exactly).
         """
         tk = _TURBO[kind]
-        if tk.validate.fullmatch(text) is None:
+        if tk.line.subn("", section) != ("", n):
             return None
-        stripped = text.replace(tk.prefix, "")
+        stripped = section.replace(tk.prefix, "")
         for token in tk.tokens:
             stripped = stripped.replace(token, " ")
         stripped = stripped.replace("}\n", "\n")
@@ -376,64 +457,10 @@ class _ChunkedBuilder:
             if cast == "i":
                 if not (np.abs(col) < _INT_EXACT).all():
                     return None  # needs exact integer re-parse
-                as_int = col.astype(np.int64)
-                arrays.append(as_int)
+                arrays.append(col.astype(np.int64))
             else:
                 arrays.append(col.copy())
         return arrays
-
-    def _feed_mixed(self, text: str, nlines: int) -> bool:
-        """Per-kind capture-regex parse for section-boundary chunks."""
-        events = _EVENT_RE.findall(text)
-        execs = _EXEC_RE.findall(text)
-        msgs = _MSG_RE.findall(text)
-        idles = _IDLE_RE.findall(text)
-        others = _OTHER_RE.findall(text)
-        blanks = len(_BLANK_RE.findall(text))
-        if text.endswith("\n"):
-            blanks -= 1  # the phantom empty line after the final newline
-        matched = (len(events) + len(execs) + len(msgs) + len(idles)
-                   + len(others) + blanks)
-        if matched != nlines:
-            return False  # some line the writer layout doesn't explain
-        # Stage everything before committing so a failed registry line
-        # cannot leave half a chunk behind for the slow path to repeat.
-        staged = []
-        registry = []
-        try:
-            for matches, cols, casts in (
-                (events, self.ev, "iiiifi"),
-                (execs, self.ex, "iiiiffi"),
-                (msgs, self.msg, "iii"),
-                (idles, self.idle, "iff"),
-            ):
-                if not matches:
-                    continue
-                k = len(matches)
-                raw_cols = zip(*matches)
-                for col, cast, raw in zip(cols, casts, raw_cols):
-                    if cast == "i":
-                        staged.append((col, np.fromiter(
-                            map(int, raw), np.int64, count=k)))
-                    else:
-                        staged.append((col, np.fromiter(
-                            map(float, raw), np.float64, count=k)))
-            for line in others:
-                registry.append(self._registry_entry(json.loads(line)))
-        except (ValueError, KeyError, TypeError):
-            return False  # odd literal or registry field: reparse slowly
-        for col, arr in staged:
-            col.extend(arr)
-        for target, key, value in registry:
-            if target is None:
-                self.header = value
-            else:
-                target[key] = value
-        recs = matched - blanks
-        self.stats.records += recs
-        self.stats.peak_chunk_records = max(self.stats.peak_chunk_records,
-                                            recs)
-        return True
 
     def _feed_slow(self, lines: List) -> None:
         """Per-line json.loads parse with precise error reporting.
@@ -466,9 +493,10 @@ class _ChunkedBuilder:
             kind = rec.get("t")
             try:
                 if kind == "event":
-                    for stage, value in zip(ev_stage, (
-                            rec["id"], rec["k"], rec["c"], rec["pe"],
-                            rec["tm"], rec.get("ex", -1))):
+                    values = (rec["id"], rec["k"], rec["c"], rec["pe"],
+                              rec["tm"], rec.get("ex", -1))
+                    _check_event_kind(values[1], lineno, offset)
+                    for stage, value in zip(ev_stage, values):
                         stage.append(value)
                 elif kind == "exec":
                     for stage, value in zip(ex_stage, (
@@ -535,8 +563,6 @@ class _ChunkedBuilder:
 
     # -- finalization ---------------------------------------------------
     def build(self) -> Trace:
-        from repro.trace.columns import ColumnarTrace, TraceColumns
-
         if self.header is None:
             raise TraceFormatError("missing header record")
         ev = _reorder_by_id("event", self.ev)

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.api import (
@@ -151,3 +157,28 @@ def test_per_shard_byte_quota_prunes_lru_within_shard(tmp_path):
     assert stats["shards"]["bb"]["entries"] == 1
     assert cache.get(key_bb) is not None
     assert cache.get(keys_aa[-1]) is not None  # newest in "aa" survives
+
+
+def test_forked_worker_imports_nothing_per_trace(trace_files):
+    """Everything a worker needs is loaded by ``import repro.batch``,
+    which the scheduler has done before it forks: reading and extracting
+    a trace imports no further module, since a forked worker would pay
+    that import again for every trace."""
+    script = textwrap.dedent("""
+        import json, sys
+        sys.path.insert(0, {src!r})
+        import repro.batch as batch
+        loaded = set(sys.modules)
+        for options in (batch.PipelineOptions(),
+                        batch.PipelineOptions(repair="warn",
+                                              on_error="fallback")):
+            ok, _, error, _ = batch._extract_one(
+                {path!r}, batch._worker_options(options))
+            assert ok, error
+        print(json.dumps(sorted(set(sys.modules) - loaded)))
+    """).format(src=str(Path(__file__).resolve().parents[1] / "src"),
+                path=trace_files[0])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -43,7 +43,13 @@ from repro.core.pipeline import (
 )
 from repro.report import analysis_document, encode_json, render_document
 from repro.trace import write_trace
-from repro.trace.columns import ColumnarTrace, EventList, ExecutionList
+from repro.trace.columns import (
+    ColumnarTrace,
+    EventList,
+    ExecutionList,
+    IdleList,
+    MessageList,
+)
 from repro.trace.events import NO_ID, DepEvent
 from repro.trace.faults import FAULT_KINDS, inject_fault
 from repro.trace.model import Trace
@@ -207,17 +213,21 @@ def test_integer_timestamps_render_alike_on_both_ingests(tmp_path):
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_document_layer_builds_no_event_records(app, app_files, tmp_path,
                                                 monkeypatch):
+    """Extract + document + CSV of a chunk-ingested trace, with default
+    options, read every record field from the columns: no lazy list
+    builds a record.  (``repair`` detection, off by default, still reads
+    records.)"""
     trace = open_trace(app_files[app], ingest="chunked").trace()
-    stats = PipelineStats()
-    structure = extract_logical_structure(trace, PipelineOptions(),
-                                          stats=stats)
     made = []
-    for cls in (EventList, ExecutionList):
-        def counted(self, i, _make=cls._make):
-            made.append(i)
+    for cls in (EventList, ExecutionList, MessageList, IdleList):
+        def counted(self, i, _make=cls._make, _cls=cls.__name__):
+            made.append((_cls, i))
             return _make(self, i)
 
         monkeypatch.setattr(cls, "_make", counted)
+    stats = PipelineStats()
+    structure = extract_logical_structure(trace, PipelineOptions(),
+                                          stats=stats)
     render_document(analysis_document(structure, stats))
     write_csv(structure, tmp_path / "rows.csv")
     assert made == []

@@ -5,16 +5,20 @@
 same file — same records, same extraction results — at every chunk
 size, for every bundled app, for MPI traces, and for the fault corpus
 under ingestion repair.  These are the differential twins the chunked
-reader and its turbo chunk parser promise; this file holds them to it,
-and pins the redesigned :func:`repro.api.open_trace` front door, the
-structured :class:`TraceFormatError` fields, the bounded-memory property
-of the reader, and pickling of the lazy columnar containers.
+reader and its sectioned chunk parser promise; this file holds them to
+it, pins that writer output never needs the per-line slow path while
+other layouts still read alike through it, and pins the redesigned
+:func:`repro.api.open_trace` front door, the structured
+:class:`TraceFormatError` fields, the bounded-memory property of the
+reader, and pickling of the lazy columnar containers.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import pickle
+import random
 
 import pytest
 
@@ -51,6 +55,8 @@ from repro.trace.source import (
 from repro.trace.validate import validate_trace
 from repro.trace.writer import write_trace
 
+pytestmark = pytest.mark.ingest
+
 APPS = {
     "jacobi2d": lambda: jacobi2d.run(chares=(4, 4), pes=4, iterations=2, seed=7),
     "lulesh": lambda: lulesh.run_charm(chares=8, pes=4, iterations=2, seed=3),
@@ -64,10 +70,23 @@ APPS = {
 }
 
 
+#: Down to 1 byte, where every chunk is a single line.
+CHUNK_SIZES = [1, 7, 256, 4096, DEFAULT_CHUNK_BYTES]
+
+
 def _write(trace: Trace, tmp_path) -> str:
     path = tmp_path / "trace.jsonl"
     write_trace(trace, path)
     return str(path)
+
+
+def read_writer_output(path, chunk_bytes: int = DEFAULT_CHUNK_BYTES):
+    """Chunked read of a file ``write_trace`` wrote: every chunk of it
+    must take the vectorized parser, never the per-line slow path."""
+    stats = ReaderStats()
+    trace = read_trace_chunked(path, chunk_bytes=chunk_bytes, stats=stats)
+    assert stats.slow_chunks == 0
+    return trace
 
 
 def assert_traces_equal(a: Trace, b: Trace) -> None:
@@ -97,10 +116,12 @@ def assert_structures_equal(a, b) -> None:
 def test_chunked_bit_identical(app, tmp_path):
     path = _write(APPS[app](), tmp_path)
     eager = read_trace(path)
-    chunked = read_trace_chunked(path)
+    chunked = read_writer_output(path)
     assert isinstance(chunked, ColumnarTrace)
     assert_traces_equal(eager, chunked)
     assert_structures_equal(extract(eager), extract(chunked))
+    for chunk_bytes in CHUNK_SIZES:
+        assert_traces_equal(eager, read_writer_output(path, chunk_bytes))
 
 
 @pytest.mark.parametrize("app", ["lulesh", "lassen"])
@@ -108,9 +129,11 @@ def test_chunked_bit_identical_mpi(app, tmp_path):
     run = lulesh.run_mpi if app == "lulesh" else lassen.run_mpi
     path = _write(run(ranks=8, iterations=2, seed=3), tmp_path)
     eager = read_trace(path)
-    chunked = read_trace_chunked(path)
+    chunked = read_writer_output(path)
     assert_traces_equal(eager, chunked)
     assert_structures_equal(extract(eager), extract(chunked))
+    for chunk_bytes in CHUNK_SIZES:
+        assert_traces_equal(eager, read_writer_output(path, chunk_bytes))
 
 
 @pytest.mark.faults
@@ -124,15 +147,102 @@ def test_chunked_bit_identical_on_fault_corpus(kind, tmp_path):
     assert_structures_equal(extract(eager, opts), extract(chunked, opts))
 
 
-@pytest.mark.parametrize(
-    "chunk_bytes", [1, 7, 256, 4096, DEFAULT_CHUNK_BYTES])
+@pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES)
 def test_chunk_size_invariance(chunk_bytes, tmp_path):
     """Every chunk size yields the same records — including chunks so
     small every line straddles a boundary (torn-line reassembly)."""
     path = _write(APPS["jacobi2d"](), tmp_path)
     eager = read_trace(path)
-    assert_traces_equal(eager, read_trace_chunked(path,
-                                                  chunk_bytes=chunk_bytes))
+    assert_traces_equal(eager, read_writer_output(path, chunk_bytes))
+
+
+# ---------------------------------------------------------------------------
+# Layouts the writer never produces: the per-line slow path reads what the
+# sectioned parser cannot account for, record for record like the eager
+# reader.
+# ---------------------------------------------------------------------------
+_REGISTRY = (b'{"t": "header"', b'{"t": "entry"', b'{"t": "array"',
+             b'{"t": "chare"')
+
+
+def _kind_of(line: bytes) -> str:
+    return json.loads(line)["t"] if line.strip() else ""
+
+
+def _shuffled(lines):
+    lines = list(lines)
+    random.Random(5).shuffle(lines)
+    return lines
+
+
+def _registry_last(lines):
+    return ([ln for ln in lines if not ln.startswith(_REGISTRY)]
+            + [ln for ln in lines if ln.startswith(_REGISTRY)])
+
+
+def _blank_between_sections(lines):
+    out = [lines[0]]
+    for prev, line in zip(lines, lines[1:]):
+        if _kind_of(prev) != _kind_of(line):
+            out += [b"\n", b" \t\n"]
+        out.append(line)
+    return out
+
+
+def _blank_inside_sections(lines):
+    out = []
+    for i, line in enumerate(lines):
+        out.append(line)
+        if i % 50 == 49:
+            out.append(b"\n")
+    return out
+
+
+def _crlf(lines):
+    return [ln[:-1] + b"\r\n" for ln in lines]
+
+
+def _no_final_newline(lines):
+    return lines[:-1] + [lines[-1].rstrip(b"\n")]
+
+
+def _record_prefix_in_registry(lines):
+    """A chare named like an event line, and header metadata holding an
+    object that starts like one — mid-line, where no section begins."""
+    out = []
+    for line in lines:
+        rec = json.loads(line)
+        if rec["t"] == "chare" and rec["id"] == 0:
+            rec["name"] = '{"t": "event", "id": 7'
+        elif rec["t"] == "header":
+            rec["metadata"] = {"nested": {"t": "event", "id": 3}}
+        out.append(line if rec == json.loads(line)
+                   else json.dumps(rec).encode() + b"\n")
+    return out
+
+
+@pytest.mark.parametrize("layout, slow", [
+    (_shuffled, True),
+    (_registry_last, False),
+    (_blank_between_sections, False),
+    (_blank_inside_sections, True),
+    (_crlf, True),
+    (_no_final_newline, False),
+    (_record_prefix_in_registry, False),
+], ids=lambda v: v.__name__.strip("_") if callable(v) else None)
+def test_non_writer_layouts_match_eager(layout, slow, tmp_path):
+    path = _write(APPS["jacobi2d"](), tmp_path)
+    odd = tmp_path / "odd.jsonl"
+    odd.write_bytes(b"".join(layout(_lines_of(path))))
+    eager = read_trace(odd)
+    for chunk_bytes in (64, 4096, DEFAULT_CHUNK_BYTES):
+        stats = ReaderStats()
+        assert_traces_equal(eager, read_trace_chunked(
+            odd, chunk_bytes=chunk_bytes, stats=stats))
+    # One chunk holds the whole file: it takes the slow path iff its
+    # layout is one the sectioned parser refuses.
+    assert stats.chunks == 1
+    assert (stats.slow_chunks == 1) == slow
 
 
 def test_chunked_digest_matches_eager(tmp_path):
@@ -221,6 +331,58 @@ def test_torn_final_line_is_an_error(chunk_bytes, tmp_path):
     torn.write_bytes(blob[:-9])  # truncate inside the final record
     with pytest.raises(TraceFormatError):
         read_trace_chunked(torn, chunk_bytes=chunk_bytes)
+
+
+def _corrupt_first(path, tmp_path, kind: str, field: str, bad: str):
+    """Write a copy of ``path`` whose first ``kind`` line carries the raw
+    text ``bad`` as its ``field`` value; return (copy, line, offset)."""
+    lines = _lines_of(path)
+    victim = next(i for i, ln in enumerate(lines) if _kind_of(ln) == kind)
+    rec = json.loads(lines[victim])
+    rec[field] = "@@"
+    lines[victim] = json.dumps(rec).replace('"@@"', bad).encode() + b"\n"
+    bad_path = tmp_path / "bad.jsonl"
+    bad_path.write_bytes(b"".join(lines))
+    return bad_path, victim + 1, sum(len(ln) for ln in lines[:victim])
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, DEFAULT_CHUNK_BYTES])
+@pytest.mark.parametrize("kind, field, bad", [
+    ("event", "c", "03"),
+    ("event", "c", "\u06638"),  # ARABIC-INDIC DIGIT THREE, then 8
+    ("exec", "pe", "02"),
+    ("exec", "s", "1.\u0665"),  # ARABIC-INDIC DIGIT FIVE
+    ("msg", "r", "001"),
+    ("idle", "pe", "-01"),
+])
+def test_non_json_numbers_are_an_error(kind, field, bad, chunk_bytes,
+                                       tmp_path):
+    """Leading zeros and non-ASCII digits are not JSON numbers: the
+    chunked reader must refuse them where json.loads does."""
+    path, line, offset = _corrupt_first(_write(APPS["jacobi2d"](), tmp_path),
+                                        tmp_path, kind, field, bad)
+    with pytest.raises(TraceFormatError) as eager:
+        read_trace(path)
+    assert eager.value.line == line
+    with pytest.raises(TraceFormatError, match="invalid JSON") as exc:
+        read_trace_chunked(path, chunk_bytes=chunk_bytes)
+    assert exc.value.line == line
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, DEFAULT_CHUNK_BYTES])
+@pytest.mark.parametrize("value", ["2", "300", "-1"])
+def test_event_kind_outside_send_recv_is_an_error(value, chunk_bytes,
+                                                  tmp_path):
+    path, line, offset = _corrupt_first(_write(APPS["jacobi2d"](), tmp_path),
+                                        tmp_path, "event", "k", value)
+    with pytest.raises(TraceFormatError, match="event kind") as eager:
+        read_trace(path)
+    assert (eager.value.kind, eager.value.line) == ("event", line)
+    with pytest.raises(TraceFormatError, match="event kind") as exc:
+        read_trace_chunked(path, chunk_bytes=chunk_bytes)
+    assert (exc.value.kind, exc.value.line) == ("event", line)
+    assert exc.value.offset == offset
 
 
 def test_missing_field_is_an_error(tmp_path):

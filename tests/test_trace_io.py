@@ -7,6 +7,8 @@ import pytest
 from repro.trace import read_trace, write_trace
 from repro.trace.reader import TraceFormatError
 
+pytestmark = pytest.mark.ingest
+
 
 def _roundtrip(trace):
     buf = io.StringIO()
