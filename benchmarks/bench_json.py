@@ -348,22 +348,26 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
 
     # Resilience overhead: what the stage-graph executor costs on the
     # fig19 workload.  "off" is the default configuration (on_error=
-    # "raise", no checkpoints — zero snapshotting); "checkpoint" writes
-    # atomic between-stage checkpoints to a scratch dir.  The acceptance
-    # target is checkpoint-off overhead within noise (executor_fraction:
-    # wall time not attributed to any stage body, i.e. the harness).
+    # "raise", no checkpoints — zero snapshotting); "fallback" takes the
+    # restore snapshots of on_error="fallback" without checkpoints;
+    # "checkpoint" adds atomic between-stage checkpoints to a scratch
+    # dir.  The acceptance target is checkpoint-off overhead within
+    # noise (executor_fraction: wall time not attributed to any stage
+    # body, i.e. the harness).
     res_timings = {}
     executor_fraction = 0.0
-    for mode in ("off", "checkpoint"):
+    for mode in ("off", "fallback", "checkpoint"):
         best = None
         best_stats = None
         for _ in range(rounds):
+            scratch = None
             if mode == "checkpoint":
                 scratch = tempfile.mkdtemp(prefix="bench-ckpt-")
                 mode_opts = PipelineOptions(checkpoint_dir=scratch,
                                             on_error="fallback")
+            elif mode == "fallback":
+                mode_opts = PipelineOptions(on_error="fallback")
             else:
-                scratch = None
                 mode_opts = PipelineOptions()
             try:
                 _, stats, seconds, _peak = _timed_extract(ab_trace, mode_opts)
@@ -376,10 +380,16 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
         if mode == "off" and best > 0:
             staged = sum(best_stats.stage_seconds.values())
             executor_fraction = max(0.0, (best - staged) / best)
-    res_overhead = (res_timings["checkpoint"] / res_timings["off"]
-                    if res_timings["off"] > 0 else 1.0)
+    def res_ratio(mode: str) -> float:
+        return (res_timings[mode] / res_timings["off"]
+                if res_timings["off"] > 0 else 1.0)
+
+    res_overhead = res_ratio("checkpoint")
+    fallback_overhead = res_ratio("fallback")
     say(f"resilience overhead @ {largest} chares: "
         f"off={res_timings['off']:.2f}s "
+        f"fallback={res_timings['fallback']:.2f}s "
+        f"({fallback_overhead:.2f}x) "
         f"checkpoint={res_timings['checkpoint']:.2f}s "
         f"({res_overhead:.2f}x, executor {executor_fraction:.1%})")
 
@@ -419,6 +429,8 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
             "chares": largest,
             "events": len(ab_trace.events),
             "off_seconds": round(res_timings["off"], 6),
+            "fallback_seconds": round(res_timings["fallback"], 6),
+            "fallback_overhead": round(fallback_overhead, 4),
             "checkpoint_seconds": round(res_timings["checkpoint"], 6),
             "overhead": round(res_overhead, 4),
             "executor_fraction": round(executor_fraction, 4),

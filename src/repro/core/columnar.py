@@ -488,6 +488,12 @@ class ColumnarPartitionState(PartitionState):
     duck-type the state.
     """
 
+    #: Attributes derived from the trace and ``event_init_arr``.  A
+    #: pickled state leaves them out, as it does the adjacency cache;
+    #: the restored state recomputes them on first use.
+    _DERIVED = frozenset({"table", "_flat_events", "_flat_init",
+                          "_flat_time", "_flat_chare"})
+
     def __init__(self, trace, init_events, init_runtime, init_block, event_init,
                  edges, table: Optional[EventTable] = None, event_init_arr=None):
         super().__init__(trace, init_events, init_runtime, init_block,
@@ -501,21 +507,43 @@ class ColumnarPartitionState(PartitionState):
                 if len(event_init) else np.empty(0, np.int64)
             )
         self.event_init_arr = event_init_arr
-        # Partitioned events flattened in (initial partition, time, id)
-        # order — exactly the concatenation order of ``init_events``.
-        evs = np.flatnonzero(event_init_arr >= 0)
-        init_of = event_init_arr[evs]
-        order = np.lexsort((evs, self.table.time[evs], init_of))
-        self._flat_events = evs[order]
-        self._flat_init = init_of[order]
-        self._flat_time = self.table.time[self._flat_events]
-        self._flat_chare = self.table.chare[self._flat_events]
+        self._flatten()
         self._init_block_arr = (
             np.asarray(init_block, np.int64) if len(init_block)
             else np.empty(0, np.int64)
         )
         self.block_table: Optional[BlockTable] = None
         self._adj_cache = None
+
+    def _flatten(self) -> None:
+        # Partitioned events flattened in (initial partition, time, id)
+        # order — exactly the concatenation order of ``init_events``.
+        table = self.table
+        evs = np.flatnonzero(self.event_init_arr >= 0)
+        init_of = self.event_init_arr[evs]
+        order = np.lexsort((evs, table.time[evs], init_of))
+        self._flat_events = evs[order]
+        self._flat_init = init_of[order]
+        self._flat_time = table.time[self._flat_events]
+        self._flat_chare = table.chare[self._flat_events]
+
+    def __getstate__(self):
+        state = {k: v for k, v in self.__dict__.items()
+                 if k not in self._DERIVED}
+        state["_adj_cache"] = None
+        return state
+
+    def __getattr__(self, name: str):
+        # Only reached for a missing attribute: a derived one of a
+        # restored state (never during unpickling, which asks for other
+        # names before the instance dict is filled).
+        if name not in ColumnarPartitionState._DERIVED:
+            raise AttributeError(name)
+        if name == "table":
+            self.table = EventTable.of(self.trace)
+        else:
+            self._flatten()
+        return self.__dict__[name]
 
     # -- array primitives ----------------------------------------------
     def roots_np(self):

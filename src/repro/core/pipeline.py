@@ -208,7 +208,7 @@ STAGE_GRAPH: Tuple[StageSignature, ...] = (
     StageSignature(
         "local_steps", "st_local_steps",
         inputs=("trace", "initial", "state", "phases", "use_columnar"),
-        outputs=("local_step", "chare_orders", "local_arr",
+        outputs=("phases", "local_step", "chare_orders", "local_arr",
                  "local_steps_done", "use_columnar"),
         fallbacks=(("physical_order", "st_local_steps_physical"),),
         degradable=True,
@@ -217,7 +217,7 @@ STAGE_GRAPH: Tuple[StageSignature, ...] = (
         "global_steps", "st_global_steps",
         inputs=("trace", "phases", "phase_of_event", "local_step",
                 "use_columnar"),
-        outputs=("step_of_event", "use_columnar"),
+        outputs=("phases", "step_of_event", "use_columnar"),
         degradable=True,
         requires=("local_steps_done",),
     ),
@@ -524,9 +524,12 @@ def extract_logical_structure(
         enforce = mode == "charm" or relaxed
 
     # ------------------------------------------------------------------
-    # Stage bodies.  Each mutates the shared context dict; the context
-    # holds only picklable data (no modules, hooks, or options) so the
-    # executor can snapshot it for fallback restore and checkpoints.
+    # Stage bodies.  Each mutates the shared context dict, which the
+    # executor snapshots for fallback restore and checkpoints.  The
+    # trace and ``opts`` (which ``finalize`` hands to the structure,
+    # hooks included) are run inputs: a snapshot references them by name
+    # and a restore binds them to this run's objects, so neither is
+    # copied and a hook need not be picklable.
     # ------------------------------------------------------------------
     def st_repair(ctx: dict) -> None:
         from repro.trace.repair import repair_trace, warn_on_defects
@@ -810,6 +813,7 @@ def extract_logical_structure(
                         else None),
         checkpoint_key=key,
         observer=observer,
+        inputs={"trace": trace, "options": opts},
     )
     ctx: Dict[str, object] = {
         "trace": trace,

@@ -58,7 +58,9 @@ class CtxEffects:
     ``soft_reads`` (``ctx.get("k")``) tolerate absence and are exempt
     from the declared-input check — they are how a body probes for an
     optional artifact.  ``writes`` cover assignment, ``ctx.pop`` and
-    ``ctx.setdefault`` (both deliberately decide the key's fate).
+    ``ctx.setdefault`` (both deliberately decide the key's fate), and
+    in-place updates of the value: an attribute or item store through a
+    local name bound to ``ctx["k"]`` (see :func:`_ctx_aliases`).
     """
 
     reads: FrozenSet[str]
@@ -87,6 +89,68 @@ def _subscript_key(node: ast.Subscript) -> Optional[str]:
     return None
 
 
+def _ctx_key(node: ast.AST, param: str) -> Optional[str]:
+    """``k`` when ``node`` is the literal-key subscript ``param["k"]``."""
+    if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == param):
+        return _subscript_key(node)
+    return None
+
+
+def _ctx_aliases(fn: ast.AST, param: str) -> Dict[str, Set[str]]:
+    """Local names of ``fn`` bound to context values: name -> keys.
+
+    A name is bound to ``ctx["k"]`` by assignment (``x = ctx["k"]``,
+    tuple unpacking included), as the loop variable over ``ctx["k"]``,
+    or as the loop variable over a name so bound.  Flow-insensitive: a
+    binding anywhere in ``fn`` counts.
+    """
+    direct: List[Tuple[ast.AST, ast.AST]] = []  # (target, value)
+    loops: List[Tuple[str, str]] = []  # (loop variable, iterated name)
+    for node in _iter_scope(fn):
+        if isinstance(node, ast.Assign):
+            direct.extend((t, node.value) for t in node.targets)
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            direct.append((node.target, node.value))
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            if isinstance(node.target, ast.Name):
+                if isinstance(node.iter, ast.Name):
+                    loops.append((node.target.id, node.iter.id))
+                else:
+                    direct.append((node.target, node.iter))
+    aliases: Dict[str, Set[str]] = {}
+    while direct:
+        target, value = direct.pop()
+        if (isinstance(target, (ast.Tuple, ast.List))
+                and isinstance(value, (ast.Tuple, ast.List))
+                and len(target.elts) == len(value.elts)):
+            direct.extend(zip(target.elts, value.elts))
+        elif isinstance(target, ast.Name):
+            key = _ctx_key(value, param)
+            if key is not None:
+                aliases.setdefault(target.id, set()).add(key)
+    changed = True
+    while changed:  # loop variables over aliases, to a fixed point
+        changed = False
+        for var, source in loops:
+            keys = aliases.get(source, set()) - aliases.get(var, set())
+            if keys:
+                aliases.setdefault(var, set()).update(keys)
+                changed = True
+    return aliases
+
+
+def _store_base(node: ast.AST) -> Optional[str]:
+    """The local name an attribute/item store goes through, if any."""
+    if not (isinstance(node, (ast.Attribute, ast.Subscript))
+            and isinstance(node.ctx, (ast.Store, ast.Del))):
+        return None
+    base = node.value
+    while isinstance(base, (ast.Attribute, ast.Subscript)):
+        base = base.value
+    return base.id if isinstance(base, ast.Name) else None
+
+
 def collect_ctx_effects(tree: ast.Module,
                         param: str = "ctx") -> Dict[str, CtxEffects]:
     """Per-function context effects for every function in ``tree``.
@@ -96,7 +160,9 @@ def collect_ctx_effects(tree: ast.Module,
     parameter onward (``_build_phases(ctx, ...)``), so a stage body's
     entry reflects everything its helpers touch.  Dynamic keys
     (``ctx[var]``) are invisible to this analysis — the pipeline bodies
-    use literal keys only, by design.
+    use literal keys only, by design.  So are stores through a value
+    reached any other way than a local name bound as
+    :func:`_ctx_aliases` describes (an argument, an attribute chain).
     """
     functions: Dict[str, ast.AST] = {}
     for node in ast.walk(tree):
@@ -115,11 +181,13 @@ def collect_ctx_effects(tree: ast.Module,
         soft: Set[str] = set()
         writes: Set[str] = set()
         calls: Set[str] = set()
+        aliases = _ctx_aliases(fn, param)
         for node in _iter_scope(fn):
-            if (isinstance(node, ast.Subscript)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == param):
-                key = _subscript_key(node)
+            base = _store_base(node)
+            if base is not None and base != param:
+                writes.update(aliases.get(base, ()))
+            if isinstance(node, ast.Subscript):
+                key = _ctx_key(node, param)
                 if key is None:
                     continue
                 if isinstance(node.ctx, ast.Load):

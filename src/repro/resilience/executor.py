@@ -37,19 +37,30 @@ snapshotting cost; ``"fallback"`` walks the fallback ladder and raises
 only when every path failed; ``"degrade"`` additionally skips degradable
 stages so the run always produces its best partial result.
 
-Context snapshots are single-dump pickles, so shared references inside
-the state survive restore and a resumed or fallback run stays
-bit-identical to an uninterrupted one.
+Context snapshots (:func:`~repro.resilience.checkpoint.dump_snapshot`)
+pickle the context in one dump, so shared references inside the state
+survive restore and a resumed or fallback run stays bit-identical to an
+uninterrupted one.  The run's ``inputs`` (the trace and options the
+pipeline was given) are stored as named references, not copies, and a
+restore binds them back to the same objects.  Without a
+``checkpoint_dir``, a snapshot is taken only before a stage that can
+restore it: one with a fallback rung, or a degradable stage under
+``"degrade"``.
 """
 
 from __future__ import annotations
 
-import pickle
 import time as _time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
+from repro.resilience.checkpoint import (
+    Inputs,
+    dump_snapshot,
+    load_checkpoint,
+    load_snapshot,
+    save_checkpoint,
+)
 from repro.resilience.guard import ResourceGuard, StageBreachError
 from repro.resilience.report import (
     STATUS_FALLBACK,
@@ -121,6 +132,7 @@ class ResilientExecutor:
         checkpoint_dir: Optional[str] = None,
         checkpoint_key: str = "",
         observer: Optional[Callable[[str, float, dict], None]] = None,
+        inputs: Optional[Inputs] = None,
     ) -> None:
         if on_error not in ON_ERROR_MODES:
             raise ValueError(f"unknown on_error mode {on_error!r}")
@@ -130,16 +142,29 @@ class ResilientExecutor:
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_key = checkpoint_key
         self.observer = observer
+        #: Objects the context may hold that snapshots reference by name
+        #: instead of copying; held here for the run, so their ids stay
+        #: unique.
+        self.inputs = dict(inputs or {})
 
     # ------------------------------------------------------------------
-    def _need_snapshot(self) -> bool:
-        return self.on_error != "raise" or self.checkpoint_dir is not None
-
     def _attempts(self, spec: StageSpec) -> List[Tuple[str, StageFn]]:
         attempts: List[Tuple[str, StageFn]] = [("primary", spec.run)]
         if self.on_error != "raise":
             attempts.extend(spec.fallbacks)
         return attempts
+
+    def _restores(self, spec: StageSpec) -> bool:
+        """Can a failure of ``spec`` restore the pre-stage snapshot?"""
+        return len(self._attempts(spec)) > 1 or (
+            spec.degradable and self.on_error == "degrade")
+
+    def _snapshot(self, ctx: dict) -> bytes:
+        return dump_snapshot(ctx, self.inputs)
+
+    def _restore(self, ctx: dict, snapshot: bytes) -> None:
+        ctx.clear()
+        ctx.update(load_snapshot(snapshot, self.inputs))
 
     def _run_stage(self, spec: StageSpec, ctx: dict,
                    snapshot: Optional[bytes]) -> StageOutcome:
@@ -149,8 +174,7 @@ class ResilientExecutor:
             if index > 0 and snapshot is not None:
                 # The failed path may have half-mutated the state; start
                 # the fallback from the pre-stage snapshot.
-                ctx.clear()
-                ctx.update(pickle.loads(snapshot))
+                self._restore(ctx, snapshot)
             self.guard.breach = None
             t0 = _time.perf_counter()  # repro-lint: disable=DET001 reason=per-stage timing telemetry for the degradation report
             try:
@@ -178,8 +202,7 @@ class ResilientExecutor:
             )
         if spec.degradable and self.on_error == "degrade":
             if snapshot is not None:
-                ctx.clear()
-                ctx.update(pickle.loads(snapshot))
+                self._restore(ctx, snapshot)
             return StageOutcome(spec.name, status=STATUS_SKIPPED, path="",
                                 reason="; ".join(errors))
         if isinstance(last_exc, StageBreachError) or len(errors) > 1:
@@ -196,7 +219,8 @@ class ResilientExecutor:
         ckpt_dir = self.checkpoint_dir
         checkpointing = ckpt_dir is not None
         if ckpt_dir is not None:
-            loaded = load_checkpoint(ckpt_dir, self.checkpoint_key)
+            loaded = load_checkpoint(ckpt_dir, self.checkpoint_key,
+                                     self.inputs)
             if loaded is not None and all(
                 d.get("status") in _MODE_STATUSES[self.on_error]
                 for d in loaded[1]
@@ -210,9 +234,12 @@ class ResilientExecutor:
                     report.outcomes.append(outcome)
                 completed = list(resumed)
 
+        # With checkpoints, the snapshot after each stage is both the
+        # file's payload and the next stage's restore point; without,
+        # a snapshot is taken only before a stage that can restore it.
         snapshot: Optional[bytes] = None
-        if self._need_snapshot():
-            snapshot = pickle.dumps(ctx, protocol=pickle.HIGHEST_PROTOCOL)
+        if ckpt_dir is not None:
+            snapshot = self._snapshot(ctx)
 
         consume = 0  # how many restored stage names we have matched
         for spec in self.stages:
@@ -238,10 +265,12 @@ class ResilientExecutor:
                 # re-attempts it rather than resuming past the hole.
                 checkpointing = False
                 continue
+            if ckpt_dir is None:
+                snapshot = self._snapshot(ctx) if self._restores(spec) else None
             outcome = self._run_stage(spec, ctx, snapshot)
             report.outcomes.append(outcome)
-            if self._need_snapshot():
-                snapshot = pickle.dumps(ctx, protocol=pickle.HIGHEST_PROTOCOL)
+            if ckpt_dir is not None:
+                snapshot = self._snapshot(ctx)
             if outcome.status == STATUS_SKIPPED:
                 checkpointing = False
                 continue

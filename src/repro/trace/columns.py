@@ -109,6 +109,13 @@ class TraceColumns:
         return sum(getattr(self, name).nbytes for name in self.__slots__)
 
     @classmethod
+    def of(cls, trace: Trace) -> "TraceColumns":
+        """A chunk-ingested trace's own columns; for an object-backed
+        trace, columns extracted from its records (not cached)."""
+        columns = getattr(trace, "columns", None)
+        return columns if columns is not None else cls.from_trace(trace)
+
+    @classmethod
     def from_trace(cls, trace: Trace) -> "TraceColumns":
         """Columns extracted from an eager (object-backed) trace."""
         ex = trace.executions

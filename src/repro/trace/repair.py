@@ -28,6 +28,9 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
+import numpy as np
+
+from repro.trace.columns import TraceColumns
 from repro.trace.events import NO_ID
 from repro.trace.model import Trace, TraceBuilder
 from repro.trace.validate import Violation, collect_trace_problems
@@ -115,7 +118,10 @@ def _orphan_events(trace: Trace) -> List[int]:
     """
     if not trace.executions:
         return []
-    return [ev.id for ev in trace.events if ev.execution == NO_ID]
+    columns = getattr(trace, "columns", None)
+    if columns is None:
+        return [ev.id for ev in trace.events if ev.execution == NO_ID]
+    return np.flatnonzero(columns.ev_exec == NO_ID).tolist()
 
 
 def detect_defects(trace: Trace) -> Dict[str, int]:
@@ -207,13 +213,26 @@ def _build_plan(trace: Trace, problems: List[Violation],
             plan.drop_events.add(ev_id)
             act("drop-orphan-event")
 
-    # Resolve the span clamps now that the full drop set is known.
+    # Resolve the span clamps now that the full drop set is known.  The
+    # events of each clamped execution come from the owner column, not
+    # ``events_of``: a chunk-ingested trace builds that index over every
+    # event and rejects an out-of-range owner, which the drop set holds
+    # anyway.  Their order does not matter: ``min``/``max`` start from
+    # ``ex.start``, so a NaN time never wins.
+    members: Dict[int, List[int]] = {}
+    if plan.clamp_spans:
+        ev_exec = TraceColumns.of(trace).ev_exec
+        clamped = np.fromiter(plan.clamp_spans, np.int64,
+                              len(plan.clamp_spans))
+        rows = np.flatnonzero(np.isin(ev_exec, clamped))
+        for ev_id, exec_id in zip(rows.tolist(), ev_exec[rows].tolist()):
+            members.setdefault(exec_id, []).append(ev_id)
     resolved: Dict[int, Tuple[float, float]] = {}
     for exec_id in plan.clamp_spans:
         if exec_id in plan.drop_execs or not (0 <= exec_id < len(trace.executions)):
             continue
         ex = trace.executions[exec_id]
-        times = [trace.events[e].time for e in trace.events_of(exec_id)
+        times = [trace.events[e].time for e in members.get(exec_id, ())
                  if e not in plan.drop_events]
         lo = min([ex.start] + times)
         hi = max([ex.start] + times + ([ex.end] if ex.end >= ex.start else []))

@@ -18,11 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
+from repro.trace.columns import TraceColumns
 from repro.trace.events import NO_ID, EventKind
 from repro.trace.model import Trace
 
 #: How many violations an error message previews before eliding.
 PREVIEW_LIMIT = 20
+
+_SEND = int(EventKind.SEND)
+_RECV = int(EventKind.RECV)
 
 
 @dataclass(frozen=True)
@@ -89,9 +95,15 @@ def collect_trace_problems(
     than an exception (``repro verify --json``) use it directly.
 
     ``trace`` may also be a :class:`~repro.trace.source.TraceSource`:
-    the source is resolved here, so a chunk-ingested file is checked
-    through its lazy columnar view (records are built one at a time;
-    the full object-backed trace is never materialized).
+    the source is resolved here.  The checks run as one pass of boolean
+    masks over the trace's :class:`~repro.trace.columns.TraceColumns`
+    (extracted once from an object-backed trace), so a chunk-ingested
+    trace is checked without building a record; only a flagged record
+    is read back, to word its message.
+
+    Violations come in section order — executions, events, messages,
+    idles, then PE overlaps — and within a section by record id, then
+    by check.  A bad id ends its record's checks that would follow it.
     """
     if not isinstance(trace, Trace) and callable(getattr(trace, "trace", None)):
         trace = trace.trace()
@@ -100,62 +112,92 @@ def collect_trace_problems(
     def problem(invariant: str, message: str, *subjects: int) -> None:
         problems.append(Violation(invariant, message, tuple(subjects)))
 
+    cols = TraceColumns.of(trace)
     n_chares = len(trace.chares)
     n_entries = len(trace.entries)
-    n_events = len(trace.events)
+    n_exec = cols.n_executions
+    n_events = cols.n_events
+    executions = trace.executions
+    events = trace.events
 
-    for ex in trace.executions:
-        if not (0 <= ex.chare < n_chares):
+    def outside(ids, n):
+        return (ids < 0) | (ids >= n)
+
+    # Executions: ids, span, then the triggering RECV (a bad recv id
+    # skips its kind and owner checks).
+    trigger = cols.ex_recv
+    bad_trigger = (trigger != NO_ID) & outside(trigger, n_events)
+    rows = np.flatnonzero((trigger != NO_ID) & ~bad_trigger)
+    not_recv = _scatter(n_exec, rows, cols.ev_kind[trigger[rows]] != _RECV)
+    foreign = _scatter(n_exec, rows, cols.ev_exec[trigger[rows]] != rows)
+    for row, (chare, entry, span, bad, kind, owner) in _flagged(
+            outside(cols.ex_chare, n_chares), outside(cols.ex_entry, n_entries),
+            cols.ex_end < cols.ex_start, bad_trigger, not_recv, foreign):
+        ex = executions[row]
+        if chare:
             problem("exec-ids", f"exec {ex.id}: bad chare id {ex.chare}", ex.id)
-        if not (0 <= ex.entry < n_entries):
+        if entry:
             problem("exec-ids", f"exec {ex.id}: bad entry id {ex.entry}", ex.id)
-        if ex.end < ex.start:
+        if span:
             problem(
                 "exec-span",
                 f"exec {ex.id}: end {ex.end} < start {ex.start}",
                 ex.id,
             )
-        if ex.recv_event != NO_ID:
-            if not (0 <= ex.recv_event < n_events):
-                problem(
-                    "exec-recv",
-                    f"exec {ex.id}: bad recv_event id {ex.recv_event}",
-                    ex.id,
-                )
-                continue
-            ev = trace.events[ex.recv_event]
-            if ev.kind != EventKind.RECV:
-                problem(
-                    "exec-recv",
-                    f"exec {ex.id}: recv_event {ex.recv_event} is not a RECV",
-                    ex.id,
-                    ex.recv_event,
-                )
-            if ev.execution != ex.id:
-                problem(
-                    "exec-recv",
-                    f"exec {ex.id}: recv_event {ex.recv_event} belongs to "
-                    f"exec {ev.execution}",
-                    ex.id,
-                    ex.recv_event,
-                )
+        if bad:
+            problem(
+                "exec-recv",
+                f"exec {ex.id}: bad recv_event id {ex.recv_event}",
+                ex.id,
+            )
+        if kind:
+            problem(
+                "exec-recv",
+                f"exec {ex.id}: recv_event {ex.recv_event} is not a RECV",
+                ex.id,
+                ex.recv_event,
+            )
+        if owner:
+            problem(
+                "exec-recv",
+                f"exec {ex.id}: recv_event {ex.recv_event} belongs to "
+                f"exec {events[ex.recv_event].execution}",
+                ex.id,
+                ex.recv_event,
+            )
 
-    for ev in trace.events:
-        if not (0 <= ev.chare < n_chares):
+    # Events: ids, then chare and time against the owning execution.
+    bad_chare = outside(cols.ev_chare, n_chares)
+    owned = ~bad_chare & (cols.ev_exec != NO_ID)
+    bad_owner = owned & outside(cols.ev_exec, n_exec)
+    rows = np.flatnonzero(owned & ~bad_owner)
+    owner_of = cols.ev_exec[rows]
+    time = cols.ev_time
+    wrong_chare = _scatter(n_events, rows,
+                           cols.ev_chare[rows] != cols.ex_chare[owner_of])
+    # Events must fall within their serial block's time span (with
+    # equality allowed at the boundaries).
+    off_span = _scatter(n_events, rows, ~(
+        (cols.ex_start[owner_of] - 1e-9 <= time[rows])
+        & (time[rows] <= cols.ex_end[owner_of] + 1e-9)))
+    for row, (chare, owner, mismatch, span) in _flagged(
+            bad_chare, bad_owner, wrong_chare, off_span):
+        ev = events[row]
+        if chare:
             problem("event-ids", f"event {ev.id}: bad chare id {ev.chare}", ev.id)
-            continue
-        if ev.execution != NO_ID:
-            ex = trace.executions[ev.execution]
-            if ev.chare != ex.chare:
+        if owner:
+            problem("event-ids",
+                    f"event {ev.id}: bad execution id {ev.execution}", ev.id)
+        if mismatch or span:
+            ex = executions[ev.execution]
+            if mismatch:
                 problem(
                     "event-chare",
                     f"event {ev.id}: chare {ev.chare} != owning exec chare "
                     f"{ex.chare}",
                     ev.id,
                 )
-            # Events must fall within their serial block's time span (with
-            # equality allowed at the boundaries).
-            if not (ex.start - 1e-9 <= ev.time <= ex.end + 1e-9):
+            if span:
                 problem(
                     "event-span",
                     f"event {ev.id}: time {ev.time} outside exec {ex.id} span "
@@ -164,74 +206,115 @@ def collect_trace_problems(
                     ex.id,
                 )
 
-    seen_recv = set()
-    for msg in trace.messages:
-        if msg.send_event != NO_ID and not (0 <= msg.send_event < n_events):
+    # Messages: endpoint ids (a bad one ends the message's checks), the
+    # endpoints of complete messages, then receive reuse: messages past
+    # the id checks claim their recv event in id order.
+    send, recv = cols.msg_send, cols.msg_recv
+    bad_send = (send != NO_ID) & outside(send, n_events)
+    bad_recv = ~bad_send & (recv != NO_ID) & outside(recv, n_events)
+    passed = ~(bad_send | bad_recv)
+    rows = np.flatnonzero(passed & (send != NO_ID) & (recv != NO_ID))
+    n_msgs = len(send)
+    send_kind = _scatter(n_msgs, rows, cols.ev_kind[send[rows]] != _SEND)
+    recv_kind = _scatter(n_msgs, rows, cols.ev_kind[recv[rows]] != _RECV)
+    early = _scatter(n_msgs, rows,
+                     time[recv[rows]] < time[send[rows]] - 1e-9)
+    claims = np.flatnonzero(passed & (recv != NO_ID))
+    reused = _scatter(n_msgs, claims, True)
+    reused[claims[np.unique(recv[claims], return_index=True)[1]]] = False
+    messages = trace.messages
+    for row, (bad_s, bad_r, s_kind, r_kind, late, dup) in _flagged(
+            bad_send, bad_recv, send_kind, recv_kind, early, reused):
+        msg = messages[row]
+        if bad_s:
             problem("message-ids", f"msg {msg.id}: bad send event {msg.send_event}",
                     msg.id)
-            continue
-        if msg.recv_event != NO_ID and not (0 <= msg.recv_event < n_events):
+        if bad_r:
             problem("message-ids", f"msg {msg.id}: bad recv event {msg.recv_event}",
                     msg.id)
-            continue
-        if msg.is_complete():
-            send = trace.events[msg.send_event]
-            recv = trace.events[msg.recv_event]
-            if send.kind != EventKind.SEND:
-                problem(
-                    "message-endpoints",
-                    f"msg {msg.id}: send endpoint is not a SEND event",
-                    msg.id,
-                    msg.send_event,
-                )
-            if recv.kind != EventKind.RECV:
-                problem(
-                    "message-endpoints",
-                    f"msg {msg.id}: recv endpoint is not a RECV event",
-                    msg.id,
-                    msg.recv_event,
-                )
-            if recv.time < send.time - 1e-9:
-                problem(
-                    "recv-after-send",
-                    f"msg {msg.id}: recv time {recv.time} precedes send time "
-                    f"{send.time}",
-                    msg.id,
-                )
-        if msg.recv_event != NO_ID:
-            if msg.recv_event in seen_recv:
-                problem(
-                    "recv-unique",
-                    f"msg {msg.id}: recv event {msg.recv_event} reused",
-                    msg.id,
-                    msg.recv_event,
-                )
-            seen_recv.add(msg.recv_event)
+        if s_kind:
+            problem(
+                "message-endpoints",
+                f"msg {msg.id}: send endpoint is not a SEND event",
+                msg.id,
+                msg.send_event,
+            )
+        if r_kind:
+            problem(
+                "message-endpoints",
+                f"msg {msg.id}: recv endpoint is not a RECV event",
+                msg.id,
+                msg.recv_event,
+            )
+        if late:
+            problem(
+                "recv-after-send",
+                f"msg {msg.id}: recv time {events[msg.recv_event].time} "
+                f"precedes send time {events[msg.send_event].time}",
+                msg.id,
+            )
+        if dup:
+            problem(
+                "recv-unique",
+                f"msg {msg.id}: recv event {msg.recv_event} reused",
+                msg.id,
+                msg.recv_event,
+            )
 
-    for idle in trace.idles:
-        if idle.end < idle.start:
+    idles = trace.idles
+    for row, (inverted, bad_pe) in _flagged(
+            cols.idle_end < cols.idle_start,
+            outside(cols.idle_pe, max(trace.num_pes, 1))):
+        idle = idles[row]
+        if inverted:
             problem("idle-span", f"idle on pe {idle.pe}: end < start", idle.pe)
-        if not (0 <= idle.pe < max(trace.num_pes, 1)):
+        if bad_pe:
             problem("idle-span", f"idle: bad pe {idle.pe}", idle.pe)
 
     if check_pe_overlap:
-        for pe, xids in trace.executions_by_pe.items():
-            prev_end = float("-inf")
-            prev_id = None
-            for xid in xids:
-                ex = trace.executions[xid]
-                if ex.start < prev_end - 1e-9:
-                    problem(
-                        "pe-overlap",
-                        f"pe {pe}: exec {xid} (start {ex.start}) overlaps exec "
-                        f"{prev_id} (end {prev_end})",
-                        xid,
-                    )
-                if ex.end > prev_end:
-                    prev_end = ex.end
-                    prev_id = xid
+        for pe, pe_xids in trace.executions_by_pe.items():
+            if len(pe_xids) < 2:
+                continue
+            ids = np.asarray(pe_xids, np.int64)
+            end = cols.ex_end[ids]
+            # The latest end among the PE's earlier executions; a NaN end
+            # never becomes it (np.fmax), like ``end > prev_end``.
+            prev_end = np.fmax.accumulate(np.r_[-np.inf, end[:-1]])
+            hits = np.flatnonzero(cols.ex_start[ids] < prev_end - 1e-9)
+            if not len(hits):
+                continue
+            # The execution holding it is the first to reach it.
+            raised = np.where(end > prev_end, np.arange(len(ids)), -1)
+            holder = ids[np.maximum.accumulate(raised)].tolist()
+            for k in hits.tolist():
+                xid, prev_id = int(ids[k]), holder[k - 1]
+                problem(
+                    "pe-overlap",
+                    f"pe {pe}: exec {xid} (start {executions[xid].start}) "
+                    f"overlaps exec {prev_id} "
+                    f"(end {executions[prev_id].end})",
+                    xid,
+                )
 
     return problems
+
+
+def _scatter(n: int, rows, values):
+    """A length-``n`` mask holding ``values`` at ``rows``, False elsewhere."""
+    mask = np.zeros(n, np.bool_)
+    mask[rows] = values
+    return mask
+
+
+def _flagged(*masks):
+    """``(row, flags)`` for every row any mask flags, in row order;
+    ``flags`` holds each mask's value at the row."""
+    any_flag = np.logical_or.reduce(masks)
+    rows = np.flatnonzero(any_flag)
+    if not len(rows):
+        return []
+    flags = np.stack([mask[rows] for mask in masks], axis=1)
+    return zip(rows.tolist(), flags.tolist())
 
 
 def validate_trace(trace: Trace, check_pe_overlap: bool = True) -> None:

@@ -11,6 +11,11 @@ chares and timing noise) for the property-based invariant suite.
 ``reference_rows`` / ``reference_document`` are the per-event oracle of
 the analysis document: record by record through ``trace.events``, a
 stable sort, and a ``json`` encode/decode round trip.
+
+``reference_trace_problems`` / ``reference_defects`` are the per-record
+oracle of trace defect detection: the record loop that
+:func:`repro.trace.validate.collect_trace_problems` replaced with column
+masks.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.trace.events import NO_ID, EventKind
 from repro.trace.model import Trace, TraceBuilder
+from repro.trace.validate import Violation
 
 
 def structures_equal(a, b) -> bool:
@@ -95,6 +101,131 @@ def reference_document(structure, stats, metrics=None) -> dict:
         ]
         doc["degradation"] = degradation
     return doc
+
+
+def reference_trace_problems(trace: Trace,
+                             check_pe_overlap: bool = True) -> List[Violation]:
+    """Trace invariant violations, one record at a time."""
+    problems: List[Violation] = []
+
+    def problem(invariant: str, message: str, *subjects: int) -> None:
+        problems.append(Violation(invariant, message, tuple(subjects)))
+
+    n_chares = len(trace.chares)
+    n_entries = len(trace.entries)
+    n_events = len(trace.events)
+    n_exec = len(trace.executions)
+
+    for ex in trace.executions:
+        if not (0 <= ex.chare < n_chares):
+            problem("exec-ids", f"exec {ex.id}: bad chare id {ex.chare}", ex.id)
+        if not (0 <= ex.entry < n_entries):
+            problem("exec-ids", f"exec {ex.id}: bad entry id {ex.entry}", ex.id)
+        if ex.end < ex.start:
+            problem("exec-span",
+                    f"exec {ex.id}: end {ex.end} < start {ex.start}", ex.id)
+        if ex.recv_event != NO_ID:
+            if not (0 <= ex.recv_event < n_events):
+                problem("exec-recv",
+                        f"exec {ex.id}: bad recv_event id {ex.recv_event}",
+                        ex.id)
+                continue
+            ev = trace.events[ex.recv_event]
+            if ev.kind != EventKind.RECV:
+                problem("exec-recv",
+                        f"exec {ex.id}: recv_event {ex.recv_event} is not a "
+                        f"RECV", ex.id, ex.recv_event)
+            if ev.execution != ex.id:
+                problem("exec-recv",
+                        f"exec {ex.id}: recv_event {ex.recv_event} belongs to "
+                        f"exec {ev.execution}", ex.id, ex.recv_event)
+
+    for ev in trace.events:
+        if not (0 <= ev.chare < n_chares):
+            problem("event-ids", f"event {ev.id}: bad chare id {ev.chare}",
+                    ev.id)
+            continue
+        if ev.execution != NO_ID:
+            if not (0 <= ev.execution < n_exec):
+                problem("event-ids",
+                        f"event {ev.id}: bad execution id {ev.execution}",
+                        ev.id)
+                continue
+            ex = trace.executions[ev.execution]
+            if ev.chare != ex.chare:
+                problem("event-chare",
+                        f"event {ev.id}: chare {ev.chare} != owning exec "
+                        f"chare {ex.chare}", ev.id)
+            if not (ex.start - 1e-9 <= ev.time <= ex.end + 1e-9):
+                problem("event-span",
+                        f"event {ev.id}: time {ev.time} outside exec {ex.id} "
+                        f"span [{ex.start}, {ex.end}]", ev.id, ex.id)
+
+    seen_recv = set()
+    for msg in trace.messages:
+        if msg.send_event != NO_ID and not (0 <= msg.send_event < n_events):
+            problem("message-ids",
+                    f"msg {msg.id}: bad send event {msg.send_event}", msg.id)
+            continue
+        if msg.recv_event != NO_ID and not (0 <= msg.recv_event < n_events):
+            problem("message-ids",
+                    f"msg {msg.id}: bad recv event {msg.recv_event}", msg.id)
+            continue
+        if msg.is_complete():
+            send = trace.events[msg.send_event]
+            recv = trace.events[msg.recv_event]
+            if send.kind != EventKind.SEND:
+                problem("message-endpoints",
+                        f"msg {msg.id}: send endpoint is not a SEND event",
+                        msg.id, msg.send_event)
+            if recv.kind != EventKind.RECV:
+                problem("message-endpoints",
+                        f"msg {msg.id}: recv endpoint is not a RECV event",
+                        msg.id, msg.recv_event)
+            if recv.time < send.time - 1e-9:
+                problem("recv-after-send",
+                        f"msg {msg.id}: recv time {recv.time} precedes send "
+                        f"time {send.time}", msg.id)
+        if msg.recv_event != NO_ID:
+            if msg.recv_event in seen_recv:
+                problem("recv-unique",
+                        f"msg {msg.id}: recv event {msg.recv_event} reused",
+                        msg.id, msg.recv_event)
+            seen_recv.add(msg.recv_event)
+
+    for idle in trace.idles:
+        if idle.end < idle.start:
+            problem("idle-span", f"idle on pe {idle.pe}: end < start", idle.pe)
+        if not (0 <= idle.pe < max(trace.num_pes, 1)):
+            problem("idle-span", f"idle: bad pe {idle.pe}", idle.pe)
+
+    if check_pe_overlap:
+        for pe, xids in trace.executions_by_pe.items():
+            prev_end = float("-inf")
+            prev_id = None
+            for xid in xids:
+                ex = trace.executions[xid]
+                if ex.start < prev_end - 1e-9:
+                    problem("pe-overlap",
+                            f"pe {pe}: exec {xid} (start {ex.start}) overlaps "
+                            f"exec {prev_id} (end {prev_end})", xid)
+                if ex.end > prev_end:
+                    prev_end = ex.end
+                    prev_id = xid
+    return problems
+
+
+def reference_defects(trace: Trace) -> Dict[str, int]:
+    """Per-invariant defect counts from the record-loop oracle, plus
+    orphan events (``detect_defects``' contract, key order included)."""
+    counts: Dict[str, int] = {}
+    for violation in reference_trace_problems(trace):
+        counts[violation.invariant] = counts.get(violation.invariant, 0) + 1
+    if trace.executions:
+        orphans = sum(1 for ev in trace.events if ev.execution == NO_ID)
+        if orphans:
+            counts["orphan-event"] = orphans
+    return counts
 
 
 class SyntheticTrace:

@@ -233,6 +233,27 @@ def test_document_layer_builds_no_event_records(app, app_files, tmp_path,
     assert made == []
 
 
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_hardened_extract_builds_no_records(app, app_files, tmp_path,
+                                            monkeypatch):
+    """The hardened pass of a chunk-ingested trace — defect detection
+    (``repair="warn"``), fallback snapshots and checkpoints — reads
+    columns too: no lazy list builds a record."""
+    trace = open_trace(app_files[app], ingest="chunked").trace()
+    made = []
+    for cls in (EventList, ExecutionList, MessageList, IdleList):
+        def counted(self, i, _make=cls._make, _cls=cls.__name__):
+            made.append((_cls, i))
+            return _make(self, i)
+
+        monkeypatch.setattr(cls, "_make", counted)
+    structure = extract_logical_structure(trace, PipelineOptions(
+        repair="warn", on_error="fallback",
+        checkpoint_dir=str(tmp_path / "ckpt")))
+    assert made == []
+    assert structure.trace is trace
+
+
 # ----------------------------------------------------------------------
 # encode_json is exactly json.dumps(obj, indent=1)
 # ----------------------------------------------------------------------

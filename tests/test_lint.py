@@ -580,6 +580,52 @@ def test_df005_derived_rung_writes_columnar_flag(pipeline_effects):
                and "use_columnar" in f.message for f in findings)
 
 
+@pytest.mark.parametrize("stage", ["local_steps", "global_steps"])
+def test_df005_undeclared_in_place_phase_update(pipeline_effects, stage):
+    # local_steps sets phase.max_local_step and global_steps sets
+    # phase.offset on the objects in ctx["phases"]: in-place writes.
+    victim = next(s for s in STAGE_GRAPH if s.name == stage)
+    graph = _mutate(stage, outputs=tuple(
+        k for k in victim.outputs if k != "phases"))
+    findings = check_stage_graph(graph, SEED_KEYS, pipeline_effects)
+    assert any(f.rule == "DF005" and f.stage == stage
+               and "phases" in f.message for f in findings)
+
+
+ALIAS_STORES = {
+    "assignment": (
+        "def body(ctx):\n    p = ctx['phases']\n    p.offset = 1\n",
+        "def body(ctx):\n    p = ctx['phases']\n    x = p.offset\n"
+        "    q = make()\n    q.offset = x\n",
+    ),
+    "tuple-unpacking": (
+        "def body(ctx):\n    t, p = ctx['trace'], ctx['phases']\n"
+        "    p[0] = t\n",
+        "def body(ctx):\n    t, p = ctx['trace'], make()\n    p[0] = t\n",
+    ),
+    "loop-over-key": (
+        "def body(ctx):\n    for p in ctx['phases']:\n"
+        "        p.max_local_step = 0\n",
+        "def body(ctx):\n    for p in ctx['phases']:\n"
+        "        use(p.max_local_step)\n",
+    ),
+    "loop-over-bound-name": (
+        "def body(ctx):\n    ps = ctx['phases']\n    for p in ps:\n"
+        "        p.offset = 0\n",
+        "def body(ctx):\n    ps = make()\n    use(ctx['phases'])\n"
+        "    for p in ps:\n        p.offset = 0\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("form", sorted(ALIAS_STORES))
+def test_ctx_effects_store_through_bound_name(form):
+    positive, negative = ALIAS_STORES[form]
+    assert collect_ctx_effects(ast.parse(positive))["body"].writes == {
+        "phases"}
+    assert collect_ctx_effects(ast.parse(negative))["body"].writes == set()
+
+
 def test_injected_defect_surfaces_through_the_engine():
     victim = next(s for s in STAGE_GRAPH if s.name == "finalize")
     graph = _mutate("finalize", outputs=victim.outputs + ("phantom",))

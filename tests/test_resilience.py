@@ -23,6 +23,7 @@ import threading
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -491,6 +492,158 @@ def test_strict_verify_failure_falls_back_and_rechecks(trace, monkeypatch):
     # reference rung, the only fallback, then survives.
     assert calls["n"] == 1
     assert structure.degradation.outcome("initial").path == "python_reference"
+
+
+# ---------------------------------------------------------------------------
+# Snapshots reference the run's inputs instead of copying them
+# ---------------------------------------------------------------------------
+def _break_initial(monkeypatch):
+    from repro.core import columnar
+
+    def boom(*a, **k):
+        raise RuntimeError("columnar kernel fault injection")
+
+    monkeypatch.setattr(columnar, "build_initial_columnar", boom)
+
+
+def test_snapshot_references_inputs_and_binds_them():
+    from repro.resilience.checkpoint import dump_snapshot, load_snapshot
+
+    holder = SimpleNamespace(payload=list(range(10_000)))
+    blob = dump_snapshot({"x": holder, "again": [holder]}, {"h": holder})
+    assert len(blob) < 200  # a reference, not the ten thousand ints
+    other = SimpleNamespace()
+    restored = load_snapshot(blob, {"h": other})
+    assert restored["x"] is other and restored["again"][0] is other
+    assert load_snapshot(blob, None)["x"] is None  # unbound: reads as None
+
+
+def test_fallback_restore_keeps_the_input_trace(trace, reference,
+                                                monkeypatch):
+    _break_initial(monkeypatch)
+    opts = PipelineOptions(on_error="fallback")
+    structure = extract_logical_structure(trace, opts)
+    assert structure.degradation.outcome("initial").status == "fallback"
+    assert structure.trace is trace
+    assert structure.options is opts
+    assert structures_equal(structure, reference)
+
+
+def test_resume_binds_an_equal_distinct_trace(trace, reference, tmp_path):
+    opts = PipelineOptions(checkpoint_dir=str(tmp_path))
+    extract_logical_structure(trace, opts)
+    twin = jacobi2d.run(chares=(4, 4), pes=4, iterations=3, seed=11)
+    assert twin is not trace and trace_digest(twin) == trace_digest(trace)
+    resumed_opts = PipelineOptions(checkpoint_dir=str(tmp_path))
+    resumed = extract_logical_structure(twin, resumed_opts)
+    assert resumed.degradation.resumed
+    assert resumed.trace is twin
+    assert resumed.options is resumed_opts
+    assert structures_equal(resumed, reference)
+
+
+def test_version_2_checkpoint_reads_as_absent(trace, reference, tmp_path):
+    """A file in the previous format (the context, trace included,
+    pickled by value after a version-2 header) is ignored: the run
+    starts fresh and its result is unchanged."""
+    opts = PipelineOptions(checkpoint_dir=str(tmp_path))
+    key = checkpoint_key(trace_digest(trace), options_token(opts))
+    extract_logical_structure(trace, opts)
+    completed, outcomes, ctx = load_checkpoint(
+        tmp_path, key, {"trace": trace, "options": opts})
+    header = {"version": 2, "key": key, "completed": completed,
+              "outcomes": outcomes}
+    checkpoint_path(tmp_path, key).write_bytes(
+        pickle.dumps(header) + pickle.dumps(ctx))
+    assert load_checkpoint(tmp_path, key) is None
+    stats = PipelineStats()
+    fresh = extract_logical_structure(trace, opts, stats)
+    assert stats.checkpoint["resumed_stages"] == 0
+    assert not fresh.degradation.resumed
+    assert structures_equal(fresh, reference)
+
+
+def _local_hook():
+    class Recorder:  # defined in a function: pickle cannot find it
+        def __init__(self):
+            self.stages = []
+            self.keep = lambda stage: stage  # and neither can it a lambda
+
+        def on_stage(self, stage, *, state=None, structure=None,
+                     seconds=0.0):
+            self.stages.append(self.keep(stage))
+
+    return Recorder()
+
+
+@pytest.mark.parametrize("supervision", [
+    {"on_error": "fallback"},
+    {"on_error": "degrade"},
+    {"checkpoint_dir": True},
+])
+def test_unpicklable_hook_survives_hardened_runs(trace, reference, tmp_path,
+                                                 supervision):
+    if supervision.get("checkpoint_dir"):
+        supervision = {"checkpoint_dir": str(tmp_path)}
+    hook = _local_hook()
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        pickle.dumps(hook)
+    opts = PipelineOptions(hooks=hook, **supervision)
+    structure = extract_logical_structure(trace, opts)
+    assert structures_equal(structure, reference)
+    assert hook.stages[-1] == "finalize"
+    assert structure.options is opts
+
+
+def test_resumed_structure_carries_the_callers_options(trace, tmp_path):
+    first = PipelineOptions(checkpoint_dir=str(tmp_path), hooks=_local_hook())
+    extract_logical_structure(trace, first)
+    opts = PipelineOptions(checkpoint_dir=str(tmp_path), on_error="degrade")
+    resumed = extract_logical_structure(trace, opts)
+    assert all(o.resumed for o in resumed.degradation.outcomes)
+    assert resumed.options is opts
+
+
+def test_partition_state_pickles_without_derived_data(trace):
+    from repro.core import columnar
+
+    state = columnar.build_initial_columnar(trace).state
+    state.adjacency()
+    assert state._adj_cache is not None
+    restored = pickle.loads(pickle.dumps(state))
+    for name in columnar.ColumnarPartitionState._DERIVED:
+        assert name not in restored.__dict__
+    assert restored._adj_cache is None
+    # Recomputed on first use, equal to the originals.
+    assert restored.adjacency() == state.adjacency()
+    assert restored.partition_events() == state.partition_events()
+    assert restored.initial_events_by_chare() == \
+        state.initial_events_by_chare()
+    assert restored.table.time.tolist() == state.table.time.tolist()
+
+
+def test_snapshots_only_before_restorable_stages(trace, monkeypatch):
+    """Without checkpoints, a snapshot is taken only before a stage that
+    can restore it: one with a fallback rung (the six columnar stages),
+    or a degradable one under "degrade"."""
+    from repro.resilience import executor as executor_module
+
+    taken = []
+    real = executor_module.dump_snapshot
+
+    def counting(ctx, inputs):
+        taken.append(sorted(ctx))
+        return real(ctx, inputs)
+
+    monkeypatch.setattr(executor_module, "dump_snapshot", counting)
+    extract_logical_structure(trace, PipelineOptions(on_error="fallback"))
+    assert len(taken) == 6
+    taken.clear()
+    extract_logical_structure(trace, PipelineOptions(on_error="raise"))
+    assert taken == []
+    extract_logical_structure(
+        trace, PipelineOptions(backend="python", on_error="degrade"))
+    assert len(taken) == 2  # local_steps and global_steps
 
 
 # ---------------------------------------------------------------------------
