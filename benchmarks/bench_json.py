@@ -231,7 +231,7 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
         gc.collect()
         with _RssSampler() as sampler:
             t0 = time.perf_counter()
-            mtrace = open_trace(mpath, ingest="chunked").trace()
+            mtrace = open_trace(mpath).trace()
             ingest_seconds = time.perf_counter() - t0
             stats = PipelineStats()
             t1 = time.perf_counter()

@@ -18,11 +18,10 @@ in ``__all__`` here are the compatibility surface.
 open stream, an in-memory :class:`~repro.trace.model.Trace`, or a
 :class:`~repro.trace.source.TraceSource`, an optional
 :class:`PipelineOptions`, and keyword overrides applied on top of it.
-Path and stream inputs are materialized per ``options.ingest``
-("chunked" streams the file into columnar buffers; "eager" builds the
-object-backed trace; "auto" is chunked) — bit-identical either way.
-The historical ``read_trace`` → ``extract`` idiom keeps working: a
-Trace input is used as-is.
+Path and stream inputs stream into a columnar trace
+(:func:`~repro.trace.reader.read_trace_chunked`); ``read_trace`` stays
+the object-backed reader, and the historical ``read_trace`` →
+``extract`` idiom keeps working: a Trace input is used as-is.
 """
 
 from __future__ import annotations
@@ -144,13 +143,11 @@ def extract(
     :meth:`PipelineOptions.with_overrides`, so both styles — a shared
     options object, quick one-off keywords, or a mix — go through one
     unambiguous path.  Unknown override names raise :class:`TypeError`.
-    Path and stream sources are materialized per ``opts.ingest``
-    (chunked columnar by default); an in-memory Trace or a pre-built
-    TraceSource is used as-is.
+    Path and stream sources stream into a columnar trace; an in-memory
+    Trace or a pre-built TraceSource is used as-is.
     """
     opts = (options if options is not None else PipelineOptions())
     if overrides:
         opts = opts.with_overrides(**overrides)
-    trace = source if isinstance(source, Trace) else (
-        open_trace(source, ingest=opts.ingest).trace())
+    trace = open_trace(source).trace()
     return extract_logical_structure(trace, options=opts, stats=stats)

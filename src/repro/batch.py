@@ -6,7 +6,8 @@ trace at a time in one process leaves both cores and prior work on the
 table.  This module adds the batch driver behind ``repro batch``:
 
 * :func:`trace_digest` — a content key for a trace: the sha256 of the
-  file bytes for on-disk sources, or of the struct-packed record fields
+  file bytes for on-disk sources, or of the packed
+  :class:`~repro.trace.columns.TraceColumns` rows plus the registries
   for in-memory :class:`~repro.trace.model.Trace` objects.
 * :class:`StructureCache` — maps ``(trace digest, resolved options)`` to
   the extraction summary, in memory and optionally persisted as JSON
@@ -64,6 +65,7 @@ from repro.core.pipeline import (
     extract_logical_structure,
 )
 from repro.core.structure import LogicalStructure
+from repro.trace.columns import TraceColumns
 from repro.trace.model import Trace
 from repro.trace.reader import read_trace  # noqa: F401 - public re-export
 from repro.trace.source import TraceSource, open_trace
@@ -97,10 +99,11 @@ def trace_digest(source: BatchSource) -> str:
 
     A :class:`~repro.trace.source.TraceSource` keys like what it wraps:
     file-backed sources hash the file bytes (without reading records at
-    all); others hash their materialized trace.  Chunk-ingested
-    columnar traces take a vectorized path — the packed little-endian
-    column dtypes are byte-identical to the per-record ``struct.pack``
-    stream, so the digests agree with the eager reader's.
+    all); others hash their materialized trace.  Events, messages,
+    executions and idles are hashed from the trace's columns
+    (``TraceColumns.of``) as packed little-endian rows, byte-identical
+    to a per-record ``struct.pack`` of the same fields, so a
+    chunk-ingested trace and its object-backed twin share one digest.
     """
     if not isinstance(source, (str, Path, Trace)) and callable(
             getattr(source, "trace", None)):
@@ -118,20 +121,12 @@ def trace_digest(source: BatchSource) -> str:
         len(trace.executions), len(trace.chares), len(trace.entries),
         len(trace.arrays), len(trace.idles), _int(trace.num_pes),
     ))
-    columns = getattr(trace, "columns", None)
-    if columns is not None:
-        _digest_columns(h, columns)
-    else:
-        for e in trace.events:
-            h.update(struct.pack("<4qd", _int(e.kind), _int(e.chare),
-                                 _int(e.pe), _int(e.execution), e.time))
-        for m in trace.messages:
-            h.update(struct.pack("<2q", _int(m.send_event),
-                                 _int(m.recv_event)))
-        for x in trace.executions:
-            h.update(struct.pack("<4q2d", _int(x.chare), _int(x.entry),
-                                 _int(x.pe), _int(x.recv_event),
-                                 x.start, x.end))
+    columns = TraceColumns.of(trace)
+    h.update(_packed_bytes(columns.ev_kind.astype("int64"), columns.ev_chare,
+                           columns.ev_pe, columns.ev_exec, columns.ev_time))
+    h.update(_packed_bytes(columns.msg_send, columns.msg_recv))
+    h.update(_packed_bytes(columns.ex_chare, columns.ex_entry, columns.ex_pe,
+                           columns.ex_recv, columns.ex_start, columns.ex_end))
     for c in trace.chares:
         h.update(struct.pack("<3q?", _int(c.id), _int(c.array_id),
                              _int(c.home_pe), bool(c.is_runtime)))
@@ -146,12 +141,8 @@ def trace_digest(source: BatchSource) -> str:
         h.update(struct.pack(f"<2q{len(arr.shape)}q", _int(arr.id),
                              len(arr.shape), *arr.shape))
         _update_str(h, arr.name)
-    if columns is not None:
-        h.update(_packed_bytes(columns.idle_pe,
-                               columns.idle_start, columns.idle_end))
-    else:
-        for idle in trace.idles:
-            h.update(struct.pack("<q2d", _int(idle.pe), idle.start, idle.end))
+    h.update(_packed_bytes(columns.idle_pe, columns.idle_start,
+                           columns.idle_end))
     h.update(repr(sorted(trace.metadata.items())).encode())
     return h.hexdigest()
 
@@ -168,16 +159,6 @@ def _packed_bytes(*cols) -> bytes:
     for i, c in enumerate(cols):
         packed[f"f{i}"] = c
     return packed.tobytes()
-
-
-def _digest_columns(h, columns) -> None:
-    """Vectorized twin of the per-record event/message/execution hashing
-    loops, fed straight from a chunk-ingested trace's columns."""
-    h.update(_packed_bytes(columns.ev_kind.astype("int64"), columns.ev_chare,
-                           columns.ev_pe, columns.ev_exec, columns.ev_time))
-    h.update(_packed_bytes(columns.msg_send, columns.msg_recv))
-    h.update(_packed_bytes(columns.ex_chare, columns.ex_entry, columns.ex_pe,
-                           columns.ex_recv, columns.ex_start, columns.ex_end))
 
 
 def options_token(options: PipelineOptions) -> str:
@@ -529,8 +510,7 @@ def _extract_one(source: BatchSource, option_fields: dict):
     t0 = _time.perf_counter()  # repro-lint: disable=DET001 reason=worker timing telemetry, never keyed or cached
     try:
         opts = PipelineOptions(**option_fields)
-        trace = (source if isinstance(source, Trace)
-                 else open_trace(source, ingest=opts.ingest).trace())
+        trace = open_trace(source).trace()
         stats = PipelineStats()
         structure = extract_logical_structure(trace, opts, stats=stats)
         summary = structure_summary(structure, stats)

@@ -21,7 +21,7 @@ from typing import List, Optional
 from repro.core import PipelineOptions, PipelineStats, extract_logical_structure
 from repro.core.patterns import kind_sequence, repeating_unit
 from repro.core.pipeline import OPTION_CHOICES
-from repro.trace import read_trace, validate_trace, write_trace
+from repro.trace import validate_trace, write_trace
 from repro.trace.clocksync import count_violations, synchronize_trace
 from repro.trace.validate import TraceValidationError
 
@@ -133,12 +133,6 @@ def add_pipeline_options(parser: argparse.ArgumentParser) -> None:
                         default="warn",
                         help="user stage-hook exceptions: warn and continue "
                              "(default) or abort extraction")
-    parser.add_argument("--ingest", choices=OPTION_CHOICES["ingest"],
-                        default="auto",
-                        help="trace ingestion: chunked streams the file into "
-                             "columnar buffers (bounded memory), eager builds "
-                             "per-record objects; auto is chunked "
-                             "(bit-identical results)")
 
 
 def pipeline_options_from_args(args: argparse.Namespace) -> PipelineOptions:
@@ -149,7 +143,7 @@ def pipeline_options_from_args(args: argparse.Namespace) -> PipelineOptions:
         repair=args.repair,
         on_error=args.on_error, checkpoint_dir=args.checkpoint_dir,
         stage_deadline=args.stage_deadline, max_rss_mb=args.max_rss_mb,
-        hook_errors=args.hook_errors, ingest=args.ingest,
+        hook_errors=args.hook_errors,
     )
 
 
@@ -193,10 +187,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load(path: str, ingest: str = "auto"):
+def _load(path: str):
     from repro.trace import open_trace
 
-    return open_trace(path, ingest=ingest).trace()
+    return open_trace(path).trace()
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -204,7 +198,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print("--render draws text, which --json output cannot carry; "
               "drop one of them", file=sys.stderr)
         return 2
-    trace = _load(args.trace, args.ingest)
+    trace = _load(args.trace)
     options = pipeline_options_from_args(args)
     stats = PipelineStats()
     structure = extract_logical_structure(trace, options=options, stats=stats)
@@ -320,7 +314,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from repro.report import performance_report
 
-    trace = _load(args.trace, args.ingest)
+    trace = _load(args.trace)
     structure = extract_logical_structure(
         trace, options=pipeline_options_from_args(args)
     )
@@ -332,10 +326,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
     from repro.core.diff import diff_structures
 
     options = pipeline_options_from_args(args)
-    left = extract_logical_structure(_load(args.left, args.ingest),
-                                     options=options)
-    right = extract_logical_structure(_load(args.right, args.ingest),
-                                      options=options)
+    left = extract_logical_structure(_load(args.left), options=options)
+    right = extract_logical_structure(_load(args.right), options=options)
     diff = diff_structures(left, right)
     print(f"similarity: {diff.similarity():.2f} "
           f"({len(diff.matched)} matched, {len(diff.only_left)} only-left, "
@@ -383,7 +375,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from repro.trace.validate import collect_trace_problems
     from repro.verify import StageRecorder, check_structure, run_differential
 
-    trace = _load(args.trace, args.ingest)
+    trace = _load(args.trace)
     violations = collect_trace_problems(trace)
 
     structure = None

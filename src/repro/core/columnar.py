@@ -4,9 +4,11 @@ The paper's scaling studies (Figures 18/19, up to 13.8k chares) stress
 per-event loops; this module replaces the hot ones with dense-array
 kernels while producing *bit-identical* results to the pure-Python code:
 
-* :class:`EventTable` / :class:`BlockTable` — dense int/float columns
-  (kind, chare, time, execution, message partner, block) derived once per
-  :class:`~repro.trace.model.Trace` and cached on it.
+* every kernel reads the trace's one column layout,
+  :class:`~repro.trace.columns.TraceColumns` (``TraceColumns.of``: a
+  chunk-ingested trace's own columns, or columns extracted once from an
+  object-backed trace and cached on it); :class:`BlockTable` adds the
+  per-event serial-block column derived from the initial structure.
 * :func:`build_initial_columnar` — initial partitions via one global
   ``lexsort`` over ``(block, time, id)`` plus vectorized run splitting,
   instead of tens of thousands of tiny per-block sorts.
@@ -50,128 +52,13 @@ from repro.core.initial import (
 from repro.core.partition import EdgeKind, PartitionState
 from repro.core.reorder import MAX_KEY_DEPTH
 from repro.core.unionfind import batch_union
+from repro.trace.columns import TraceColumns
 from repro.trace.events import EventKind
 from repro.trace.model import Trace
 
 #: Fixed-point rounds before :func:`local_steps_columnar` hands the phase
 #: back to the python Kahn implementation (deep message chains / cycles).
 MAX_STEP_ROUNDS = 80
-
-
-class EventTable:
-    """Dense columns of the per-event record fields, cached per trace."""
-
-    __slots__ = ("n", "kind", "chare", "pe", "time", "execution",
-                 "partner_send", "msg_send", "msg_recv")
-
-    def __init__(self, trace: Trace):
-        events = trace.events
-        n = len(events)
-        self.n = n
-        self.kind = np.fromiter((int(e.kind) for e in events), np.int8, n)
-        self.chare = np.fromiter((e.chare for e in events), np.int64, n)
-        self.pe = np.fromiter((e.pe for e in events), np.int64, n)
-        self.time = np.fromiter((e.time for e in events), np.float64, n)
-        self.execution = np.fromiter((e.execution for e in events), np.int64, n)
-        msgs = trace.messages
-        m = len(msgs)
-        self.msg_send = np.fromiter((g.send_event for g in msgs), np.int64, m)
-        self.msg_recv = np.fromiter((g.recv_event for g in msgs), np.int64, m)
-        # partner_send[recv] composes message_by_recv with Message.send_event:
-        # like the index, a later message overwrites an earlier one, and a
-        # matched recv whose message lost its send endpoint stays -1.
-        partner = np.full(n, -1, np.int64)
-        has_recv = self.msg_recv >= 0
-        partner[self.msg_recv[has_recv]] = self.msg_send[has_recv]
-        self.partner_send = partner
-
-    @classmethod
-    def from_columns(cls, *, kind, chare, pe, time, execution,
-                     msg_send, msg_recv) -> "EventTable":
-        """Build straight from ingestion columns (no record objects).
-
-        The chunked reader's :class:`~repro.trace.columns.ColumnarTrace`
-        seeds the per-trace table cache through this, skipping the
-        ``np.fromiter``-over-objects scans of ``__init__`` entirely.
-        ``partner_send`` is derived with the same overwrite semantics.
-        """
-        t = cls.__new__(cls)
-        t.n = n = len(kind)
-        t.kind = np.asarray(kind, np.int8)
-        t.chare = np.asarray(chare, np.int64)
-        t.pe = np.asarray(pe, np.int64)
-        t.time = np.asarray(time, np.float64)
-        t.execution = np.asarray(execution, np.int64)
-        t.msg_send = np.asarray(msg_send, np.int64)
-        t.msg_recv = np.asarray(msg_recv, np.int64)
-        partner = np.full(n, -1, np.int64)
-        has_recv = t.msg_recv >= 0
-        partner[t.msg_recv[has_recv]] = t.msg_send[has_recv]
-        t.partner_send = partner
-        return t
-
-    @classmethod
-    def of(cls, trace: Trace) -> "EventTable":
-        table = getattr(trace, "_columnar_table", None)
-        if table is None:
-            table = cls(trace)
-            trace._columnar_table = table
-        return table
-
-
-class ExecTable:
-    """Dense columns of the per-execution record fields, cached per trace."""
-
-    __slots__ = ("n", "start", "end", "pe", "entry", "chare", "recv_event",
-                 "entry_serial", "entry_ordinal")
-
-    def __init__(self, trace: Trace):
-        ex = trace.executions
-        m = len(ex)
-        self.n = m
-        self.start = np.fromiter((e.start for e in ex), np.float64, m)
-        self.end = np.fromiter((e.end for e in ex), np.float64, m)
-        self.pe = np.fromiter((e.pe for e in ex), np.int64, m)
-        self.entry = np.fromiter((e.entry for e in ex), np.int64, m)
-        self.chare = np.fromiter((e.chare for e in ex), np.int64, m)
-        self.recv_event = np.fromiter((e.recv_event for e in ex), np.int64, m)
-        ents = trace.entries
-        k = len(ents)
-        self.entry_serial = np.fromiter(
-            (e.is_sdag_serial for e in ents), np.bool_, k
-        )
-        self.entry_ordinal = np.fromiter(
-            (e.sdag_ordinal for e in ents), np.int64, k
-        )
-
-    @classmethod
-    def from_columns(cls, *, start, end, pe, entry, chare, recv_event,
-                     entries) -> "ExecTable":
-        """Build straight from ingestion columns plus the entry registry."""
-        t = cls.__new__(cls)
-        t.n = len(start)
-        t.start = np.asarray(start, np.float64)
-        t.end = np.asarray(end, np.float64)
-        t.pe = np.asarray(pe, np.int64)
-        t.entry = np.asarray(entry, np.int64)
-        t.chare = np.asarray(chare, np.int64)
-        t.recv_event = np.asarray(recv_event, np.int64)
-        k = len(entries)
-        t.entry_serial = np.fromiter(
-            (e.is_sdag_serial for e in entries), np.bool_, k
-        )
-        t.entry_ordinal = np.fromiter(
-            (e.sdag_ordinal for e in entries), np.int64, k
-        )
-        return t
-
-    @classmethod
-    def of(cls, trace: Trace) -> "ExecTable":
-        table = getattr(trace, "_columnar_execs", None)
-        if table is None:
-            table = cls(trace)
-            trace._columnar_execs = table
-        return table
 
 
 class BlockTable:
@@ -463,17 +350,17 @@ class LazyBlockList:
             setattr(self, name, value)
 
 
-def runtime_related_array(trace: Trace, table: EventTable):
+def runtime_related_array(trace: Trace, cols: TraceColumns):
     """Vectorized :meth:`Trace.runtime_related_flags`."""
     runtime_chare = np.fromiter(
         (c.is_runtime for c in trace.chares), np.bool_, len(trace.chares)
     )
-    flags = runtime_chare[table.chare] if table.n else np.zeros(0, np.bool_)
-    complete = (table.msg_send >= 0) & (table.msg_recv >= 0)
-    send = table.msg_send[complete]
-    recv = table.msg_recv[complete]
-    flags[recv[runtime_chare[table.chare[send]]]] = True
-    flags[send[runtime_chare[table.chare[recv]]]] = True
+    flags = runtime_chare[cols.ev_chare] if cols.n_events else np.zeros(0, np.bool_)
+    complete = (cols.msg_send >= 0) & (cols.msg_recv >= 0)
+    send = cols.msg_send[complete]
+    recv = cols.msg_recv[complete]
+    flags[recv[runtime_chare[cols.ev_chare[send]]]] = True
+    flags[send[runtime_chare[cols.ev_chare[recv]]]] = True
     return flags
 
 
@@ -491,16 +378,15 @@ class ColumnarPartitionState(PartitionState):
     #: Attributes derived from the trace and ``event_init_arr``.  A
     #: pickled state leaves them out, as it does the adjacency cache;
     #: the restored state recomputes them on first use.
-    _DERIVED = frozenset({"table", "_flat_events", "_flat_init",
-                          "_flat_time", "_flat_chare"})
+    _DERIVED = frozenset({"_flat_events", "_flat_init", "_flat_time",
+                          "_flat_chare"})
 
     def __init__(self, trace, init_events, init_runtime, init_block, event_init,
-                 edges, table: Optional[EventTable] = None, event_init_arr=None):
+                 edges, event_init_arr=None):
         super().__init__(trace, init_events, init_runtime, init_block,
                          event_init, edges)
         if not isinstance(self.edges, EdgeList):
             self.edges = EdgeList.from_triples(self.edges)
-        self.table = table if table is not None else EventTable.of(trace)
         if event_init_arr is None:
             event_init_arr = (
                 np.asarray(event_init, np.int64)
@@ -518,14 +404,14 @@ class ColumnarPartitionState(PartitionState):
     def _flatten(self) -> None:
         # Partitioned events flattened in (initial partition, time, id)
         # order — exactly the concatenation order of ``init_events``.
-        table = self.table
+        cols = TraceColumns.of(self.trace)
         evs = np.flatnonzero(self.event_init_arr >= 0)
         init_of = self.event_init_arr[evs]
-        order = np.lexsort((evs, table.time[evs], init_of))
+        order = np.lexsort((evs, cols.ev_time[evs], init_of))
         self._flat_events = evs[order]
         self._flat_init = init_of[order]
-        self._flat_time = table.time[self._flat_events]
-        self._flat_chare = table.chare[self._flat_events]
+        self._flat_time = cols.ev_time[self._flat_events]
+        self._flat_chare = cols.ev_chare[self._flat_events]
 
     def __getstate__(self):
         state = {k: v for k, v in self.__dict__.items()
@@ -539,10 +425,7 @@ class ColumnarPartitionState(PartitionState):
         # names before the instance dict is filled).
         if name not in ColumnarPartitionState._DERIVED:
             raise AttributeError(name)
-        if name == "table":
-            self.table = EventTable.of(self.trace)
-        else:
-            self._flatten()
+        self._flatten()
         return self.__dict__[name]
 
     # -- array primitives ----------------------------------------------
@@ -652,10 +535,12 @@ class ColumnarPartitionState(PartitionState):
         return out
 
     def event_fields(self, evs: Sequence[int], *names: str) -> List[list]:
-        """Column gather of :meth:`PartitionState.event_fields`: no event
-        record is built (kinds come back as ints, times as floats)."""
+        """Column gather of :meth:`PartitionState.event_fields` from the
+        ``ev_`` columns: no event record is built (kinds come back as
+        ints, times as floats)."""
+        cols = TraceColumns.of(self.trace)
         idx = np.asarray(evs, np.int64)
-        return [getattr(self.table, name)[idx].tolist() for name in names]
+        return [getattr(cols, "ev_" + name)[idx].tolist() for name in names]
 
     def adjacency(self) -> Tuple[Dict[int, Set[int]], Dict[int, Set[int]]]:
         # The result is a pure function of (roots, edges).  ``dsu.count``
@@ -797,8 +682,7 @@ def _absorb_flags(serial, pe, start, end, first_positions, absorb_tolerance):
     return absorb
 
 
-def _scan_serial_blocks_columnar(trace: Trace, absorb_tolerance: float,
-                                 xt: ExecTable):
+def _scan_serial_blocks_columnar(trace: Trace, absorb_tolerance: float):
     """Vectorized :func:`repro.core.initial.scan_serial_blocks`.
 
     The absorption decision depends only on the (previous, current)
@@ -809,30 +693,34 @@ def _scan_serial_blocks_columnar(trace: Trace, absorb_tolerance: float,
     ``xid_arr[group_starts[i]:group_starts[i+1]]``; the differential
     harness cross-checks the grouping against the python scan.
     """
+    cols = TraceColumns.of(trace)
     by_chare = trace.executions_by_chare
     xids = [xid for lst in by_chare.values() for xid in lst]
     total = len(xids)
     if total == 0:
         empty = np.empty(0, np.int64)
-        return np.full(xt.n, -1, np.int64), empty, empty, np.empty(0, np.bool_)
+        return (np.full(cols.n_executions, -1, np.int64), empty, empty,
+                np.empty(0, np.bool_))
     xid_arr = np.asarray(xids, np.int64)
     lens = np.fromiter((len(lst) for lst in by_chare.values()), np.int64,
                        len(by_chare))
     chare_starts = np.r_[0, np.cumsum(lens)[:-1]]
-    serial = xt.entry_serial[xt.entry[xid_arr]]
-    pe = xt.pe[xid_arr]
-    start = xt.start[xid_arr]
-    end = xt.end[xid_arr]
+    entry_serial = np.fromiter((e.is_sdag_serial for e in trace.entries),
+                               np.bool_, len(trace.entries))
+    serial = entry_serial[cols.ex_entry[xid_arr]]
+    pe = cols.ex_pe[xid_arr]
+    start = cols.ex_start[xid_arr]
+    end = cols.ex_end[xid_arr]
     chare_first = chare_starts[chare_starts < total]
     absorb = _absorb_flags(serial, pe, start, end, chare_first,
                            absorb_tolerance)
     starts = np.flatnonzero(~absorb)
-    block_of_exec = np.full(xt.n, -1, np.int64)
+    block_of_exec = np.full(cols.n_executions, -1, np.int64)
     block_of_exec[xid_arr] = np.cumsum(~absorb) - 1
     return block_of_exec, xid_arr, starts, serial
 
 
-def _make_blocks_columnar(xt: ExecTable, xid_arr, starts, serial_seq,
+def _make_blocks_columnar(trace: Trace, xid_arr, starts, serial_seq,
                           ev_flat, ev_lo, ev_hi):
     """Vectorized :func:`repro.core.initial._make_block` over all groups.
 
@@ -851,6 +739,7 @@ def _make_blocks_columnar(xt: ExecTable, xid_arr, starts, serial_seq,
             sdag_ordinal=empty, ev_flat=ev_flat, ev_lo=ev_lo, ev_hi=ev_hi,
             x_flat=xid_arr, x_lo=empty, x_hi=empty,
         )
+    cols = TraceColumns.of(trace)
     total = len(xid_arr)
     ends = np.r_[starts[1:], total]
     first_x = xid_arr[starts]
@@ -858,22 +747,24 @@ def _make_blocks_columnar(xt: ExecTable, xid_arr, starts, serial_seq,
     # SDAG ordinal of the group's last serial execution (-1 when none).
     ser_pos = np.where(serial_seq, np.arange(total, dtype=np.int64), -1)
     last_ser = np.maximum.reduceat(ser_pos, starts)
+    entry_ordinal = np.fromiter((e.sdag_ordinal for e in trace.entries),
+                                np.int64, len(trace.entries))
     ordinal = np.where(
         last_ser >= 0,
-        xt.entry_ordinal[xt.entry[xid_arr[np.clip(last_ser, 0, None)]]],
+        entry_ordinal[cols.ex_entry[xid_arr[np.clip(last_ser, 0, None)]]],
         -1,
     )
     return LazyBlockList(
-        chare=xt.chare[first_x], pe=xt.pe[first_x],
-        start=xt.start[first_x], end=xt.end[last_x],
-        entry=xt.entry[last_x], recv_event=xt.recv_event[first_x],
+        chare=cols.ex_chare[first_x], pe=cols.ex_pe[first_x],
+        start=cols.ex_start[first_x], end=cols.ex_end[last_x],
+        entry=cols.ex_entry[last_x], recv_event=cols.ex_recv[first_x],
         sdag_ordinal=ordinal,
         ev_flat=ev_flat, ev_lo=ev_lo, ev_hi=ev_hi,
         x_flat=xid_arr, x_lo=starts, x_hi=ends,
     )
 
 
-def _chain_edges_columnar(table: EventTable, mode: str, relaxed_chain: bool,
+def _chain_edges_columnar(cols: TraceColumns, mode: str, relaxed_chain: bool,
                           edges, event_init_arr, b_chare, b_start, b_ordinal,
                           present_ids, first_ev, last_ev) -> bool:
     """Columnar :func:`repro.core.initial.chare_chain_edges`.
@@ -899,8 +790,8 @@ def _chain_edges_columnar(table: EventTable, mode: str, relaxed_chain: bool,
     append = edges.append
     if mode == "mpi":
         pinned = (
-            (table.kind[first_ev] == int(EventKind.SEND))
-            | (table.partner_send[first_ev] < 0)
+            (cols.ev_kind[first_ev] == int(EventKind.SEND))
+            | (cols.partner_send[first_ev] < 0)
         ).tolist()
         prev_ei = None
         cur_chare = -1
@@ -929,14 +820,14 @@ def _chain_edges_columnar(table: EventTable, mode: str, relaxed_chain: bool,
     return True
 
 
-def _message_edges_columnar(table: EventTable, event_init_arr,
+def _message_edges_columnar(cols: TraceColumns, event_init_arr,
                             edges: "EdgeList") -> None:
     """Vectorized :func:`repro.core.initial.message_edges` (same order)."""
-    complete = (table.msg_send >= 0) & (table.msg_recv >= 0)
+    complete = (cols.msg_send >= 0) & (cols.msg_recv >= 0)
     if not complete.any():
         return
-    a = event_init_arr[table.msg_send[complete]]
-    b = event_init_arr[table.msg_recv[complete]]
+    a = event_init_arr[cols.msg_send[complete]]
+    b = event_init_arr[cols.msg_recv[complete]]
     keep = (a != -1) & (b != -1)
     edges.extend_columns(a[keep], b[keep], int(EdgeKind.MESSAGE))
 
@@ -953,22 +844,21 @@ def build_initial_columnar(trace: Trace, mode: str = "charm",
     """
     if mode not in ("charm", "mpi"):
         raise ValueError(f"unknown mode {mode!r}")
-    table = EventTable.of(trace)
-    xt = ExecTable.of(trace)
-    n = table.n
+    cols = TraceColumns.of(trace)
+    n = cols.n_events
 
     block_of_exec_arr, xid_arr, gstarts, serial_seq = (
-        _scan_serial_blocks_columnar(trace, absorb_tolerance, xt)
+        _scan_serial_blocks_columnar(trace, absorb_tolerance)
     )
     nb = len(gstarts)
 
     boe = np.full(n, -1, np.int64)
     if trace.executions and n:
-        has_exec = table.execution >= 0
-        boe[has_exec] = block_of_exec_arr[table.execution[has_exec]]
+        has_exec = cols.ev_exec >= 0
+        boe[has_exec] = block_of_exec_arr[cols.ev_exec[has_exec]]
 
     # One global (block, time, id) sort replaces the per-block sorts.
-    seq = np.lexsort((np.arange(n), table.time, boe))
+    seq = np.lexsort((np.arange(n), cols.ev_time, boe))
     seq = seq[boe[seq] >= 0]
     block_seq = boe[seq]
     if len(seq):
@@ -983,10 +873,10 @@ def build_initial_columnar(trace: Trace, mode: str = "charm",
     present = block_seq[bstarts]
     ev_lo[present] = bstarts
     ev_hi[present] = bends
-    blocks = _make_blocks_columnar(xt, xid_arr, gstarts, serial_seq,
+    blocks = _make_blocks_columnar(trace, xid_arr, gstarts, serial_seq,
                                    seq, ev_lo, ev_hi)
 
-    runtime_related = runtime_related_array(trace, table)
+    runtime_related = runtime_related_array(trace, cols)
     rt_seq = runtime_related[seq]
     edges = EdgeList()
     if mode == "charm":
@@ -1026,18 +916,18 @@ def build_initial_columnar(trace: Trace, mode: str = "charm",
     event_init = LazyIntList(event_init_arr)
 
     chained = _chain_edges_columnar(
-        table, mode, relaxed_chain, edges, event_init_arr,
+        cols, mode, relaxed_chain, edges, event_init_arr,
         blocks.chare, blocks.start, blocks.sdag_ordinal,
         present_ids=present, first_ev=seq[bstarts],
         last_ev=seq[bends - 1],
     )
     if not chained:  # ordering assumptions violated: shared python helper
         chare_chain_edges(trace, blocks, event_init, mode, relaxed_chain, edges)
-    _message_edges_columnar(table, event_init_arr, edges)
+    _message_edges_columnar(cols, event_init_arr, edges)
 
     state = ColumnarPartitionState(
         trace, init_events, init_runtime, init_block, event_init, edges,
-        table=table, event_init_arr=event_init_arr,
+        event_init_arr=event_init_arr,
     )
     state.block_table = BlockTable(boe, len(blocks))
     return InitialStructure(blocks, LazyIntList(boe),
@@ -1047,15 +937,15 @@ def build_initial_columnar(trace: Trace, mode: str = "charm",
 # ----------------------------------------------------------------------
 # Stage 5/6 kernels
 # ----------------------------------------------------------------------
-def sorted_phase_events(table: EventTable, phase_events: Sequence[int]):
+def sorted_phase_events(cols: TraceColumns, phase_events: Sequence[int]):
     """Phase events as an array sorted by (time, id)."""
     evs = np.asarray(phase_events, np.int64)
     if not len(evs):
         return evs
-    return evs[np.lexsort((evs, table.time[evs]))]
+    return evs[np.lexsort((evs, cols.ev_time[evs]))]
 
 
-def physical_order_columnar(table: EventTable, ordered) -> Dict[int, List[int]]:
+def physical_order_columnar(cols: TraceColumns, ordered) -> Dict[int, List[int]]:
     """Vectorized :func:`repro.core.reorder.physical_order`.
 
     ``ordered`` must already be (time, id) sorted; keys appear in the
@@ -1063,7 +953,7 @@ def physical_order_columnar(table: EventTable, ordered) -> Dict[int, List[int]]:
     """
     if not len(ordered):
         return {}
-    chare = table.chare[ordered]
+    chare = cols.ev_chare[ordered]
     order = np.argsort(chare, kind="stable")
     sorted_chares = chare[order]
     starts = np.flatnonzero(np.r_[True, sorted_chares[1:] != sorted_chares[:-1]])
@@ -1077,15 +967,7 @@ def physical_order_columnar(table: EventTable, ordered) -> Dict[int, List[int]]:
     return out
 
 
-def reorder_w(table: EventTable, ordered, block_of_event) -> Dict[int, int]:
-    """Vectorized :func:`repro.core.reorder._assign_w` (as a dict)."""
-    if not len(ordered):
-        return {}
-    depth = _w_depth(table, ordered, block_of_event)
-    return dict(zip(ordered.tolist(), depth.tolist()))
-
-
-def _w_depth(table: EventTable, ordered, block_of_event):
+def _w_depth(cols: TraceColumns, ordered, block_of_event):
     """The reorder w clock per position of ``ordered``.
 
     The replay dependency of each event is unique — the matched in-phase
@@ -1100,12 +982,12 @@ def _w_depth(table: EventTable, ordered, block_of_event):
     blocks_sorted = block[order]
     same = np.flatnonzero(blocks_sorted[1:] == blocks_sorted[:-1])
     prev[order[same + 1]] = order[same]
-    lookup = np.full(table.n, -1, np.int64)
+    lookup = np.full(cols.n_events, -1, np.int64)
     lookup[ordered] = pos
-    partner = table.partner_send[ordered]
+    partner = cols.partner_send[ordered]
     partner_pos = np.where(partner >= 0, lookup[np.clip(partner, 0, None)], -1)
     use_send = (
-        (table.kind[ordered] == int(EventKind.RECV))
+        (cols.ev_kind[ordered] == int(EventKind.RECV))
         & (partner_pos >= 0)
         & (partner_pos < pos)  # replicates the ``send in w`` replay check
     )
@@ -1122,29 +1004,17 @@ def _w_depth(table: EventTable, ordered, block_of_event):
     return depth
 
 
-def trigger_send_array(table: EventTable, ordered):
+def trigger_send_array(cols: TraceColumns, ordered):
     """Matched in-phase send per position of ``ordered`` (−1 when none)."""
-    lookup = np.full(table.n, -1, np.int64)
+    lookup = np.full(cols.n_events, -1, np.int64)
     lookup[ordered] = np.arange(len(ordered))
-    partner = table.partner_send[ordered]
+    partner = cols.partner_send[ordered]
     in_phase = np.where(partner >= 0, lookup[np.clip(partner, 0, None)], -1) >= 0
-    is_recv = table.kind[ordered] == int(EventKind.RECV)
+    is_recv = cols.ev_kind[ordered] == int(EventKind.RECV)
     return np.where(is_recv & in_phase, partner, -1)
 
 
-def trigger_sends(table: EventTable, ordered) -> Dict[int, int]:
-    """Matched in-phase send per phase event (−1 when none) as a dict.
-
-    Feeds ``reordered_order_task``'s trigger lookup without per-block
-    message chasing.
-    """
-    if not len(ordered):
-        return {}
-    send = trigger_send_array(table, ordered)
-    return dict(zip(ordered.tolist(), send.tolist()))
-
-
-def task_order_columnar(table: EventTable, ordered, block_of_event,
+def task_order_columnar(cols: TraceColumns, ordered, block_of_event,
                         inv_keys: List[Tuple]) -> Dict[int, List[int]]:
     """Vectorized :func:`repro.core.reorder.reordered_order_task`.
 
@@ -1159,8 +1029,8 @@ def task_order_columnar(table: EventTable, ordered, block_of_event,
     n = len(ordered)
     if n == 0:
         return {}
-    depth = _w_depth(table, ordered, block_of_event)
-    trigger = trigger_send_array(table, ordered)
+    depth = _w_depth(cols, ordered, block_of_event)
+    trigger = trigger_send_array(cols, ordered)
     block = block_of_event[ordered]
     order = np.argsort(block, kind="stable")
     bsorted = block[order]
@@ -1175,7 +1045,7 @@ def task_order_columnar(table: EventTable, ordered, block_of_event,
     valid = g_send >= 0
     send_clip = np.clip(g_send, 0, None)
     g_src = np.where(valid, block_of_event[send_clip], -1)
-    g_inv_chare = np.where(valid, table.chare[send_clip], -1)
+    g_inv_chare = np.where(valid, cols.ev_chare[send_clip], -1)
     # Next block of the key chain: the trigger sender's block when it is a
     # different block (an in-phase send's block is always in the phase, so
     # the python path's membership check is vacuous here).
@@ -1183,8 +1053,8 @@ def task_order_columnar(table: EventTable, ordered, block_of_event,
     nxt = np.where(valid & (g_src != g_block), src_gi, -1)
 
     first_ev = ordered[firstpos]
-    g_time = table.time[first_ev].tolist()
-    g_chare = table.chare[first_ev].tolist()
+    g_time = cols.ev_time[first_ev].tolist()
+    g_chare = cols.ev_chare[first_ev].tolist()
     w_l = g_w.tolist()
     nxt_l = nxt.tolist()
     block_l = g_block.tolist()
@@ -1222,7 +1092,7 @@ def task_order_columnar(table: EventTable, ordered, block_of_event,
     return out
 
 
-def local_steps_columnar(table: EventTable, chare_orders: Dict[int, List[int]]):
+def local_steps_columnar(cols: TraceColumns, chare_orders: Dict[int, List[int]]):
     """Vectorized :func:`repro.core.stepping.assign_local_steps`.
 
     Iterates chain relaxation (segmented running max over the per-chare
@@ -1239,10 +1109,10 @@ def local_steps_columnar(table: EventTable, chare_orders: Dict[int, List[int]]):
     lens = np.fromiter((len(lst) for lst in lists), np.int64, len(lists))
     seg = np.repeat(np.arange(len(lists), dtype=np.int64), lens)
     pos = np.arange(total, dtype=np.int64)
-    lookup = np.full(table.n, -1, np.int64)
+    lookup = np.full(cols.n_events, -1, np.int64)
     lookup[concat] = pos
-    partner = table.partner_send[concat]
-    valid = (table.kind[concat] == int(EventKind.RECV)) & (partner >= 0)
+    partner = cols.partner_send[concat]
+    valid = (cols.ev_kind[concat] == int(EventKind.RECV)) & (partner >= 0)
     partner_pos = np.where(valid, lookup[np.clip(partner, 0, None)], -1)
     recv_idx = np.flatnonzero(partner_pos >= 0)
     send_idx = partner_pos[recv_idx]

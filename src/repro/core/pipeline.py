@@ -75,9 +75,9 @@ from repro.resilience.executor import (
     StageSpec,
 )
 from repro.resilience.guard import ResourceGuard
+from repro.trace.columns import TraceColumns
 from repro.trace.model import Trace
 from repro.trace.repair import REPAIR_MODES
-from repro.trace.source import INGEST_MODES
 
 #: Option fields that instrument or supervise the run without changing
 #: the extracted structure: excluded from cache/checkpoint keying.
@@ -91,11 +91,6 @@ NON_RESULT_FIELDS = frozenset({
     "on_error",
     "stage_deadline",
     "max_rss_mb",
-    # Ingestion mode only governs how a trace is materialized (eager
-    # objects vs streamed columns); the chunked reader is pinned
-    # bit-identical, so the same file yields the same structure — and
-    # the same cache/checkpoint key — either way.
-    "ingest",
 })
 
 #: Context keys present before any stage runs (seeded by
@@ -298,7 +293,6 @@ OPTION_CHOICES: Dict[str, Tuple[str, ...]] = {
     "repair": REPAIR_MODES,
     "on_error": ON_ERROR_MODES,
     "hook_errors": ("warn", "raise"),
-    "ingest": INGEST_MODES,
 }
 
 
@@ -327,14 +321,6 @@ class PipelineOptions:
     #: "columnar".  Both backends produce bit-identical structures; the
     #: differential harness cross-checks them.
     backend: str = "auto"
-    #: How :func:`repro.api.extract` materializes a path/stream source:
-    #: "chunked" parses fixed-size chunks straight into columnar
-    #: buffers (bounded staging memory), "eager" builds the
-    #: object-backed trace, "auto" is "chunked".  Bit-identical either
-    #: way (pinned by differential twins), so it is excluded from cache
-    #: and checkpoint keys.  Ignored for already-materialized Trace
-    #: inputs.
-    ingest: str = "auto"
     #: Stage instrumentation: one :class:`repro.verify.stagehooks.StageHook`
     #: (an object with an ``on_stage(stage, *, state, structure, seconds)``
     #: method) or a sequence of them, called after every stage with the
@@ -627,7 +613,7 @@ def extract_logical_structure(
 
     def _local_steps_columnar(ctx: dict) -> None:
         trace_, initial, state = ctx["trace"], ctx["initial"], ctx["state"]
-        table = columnar.EventTable.of(trace_)
+        cols = TraceColumns.of(trace_)
         block_table = getattr(state, "block_table", None)
         boe_arr = (block_table.block_of_event if block_table is not None
                    else np.asarray(initial.block_of_event, np.int64))
@@ -640,21 +626,21 @@ def extract_logical_structure(
             else:
                 inv_keys = [(c.id,) for c in trace_.chares]
         for phase in ctx["phases"]:
-            ordered_np = columnar.sorted_phase_events(table, phase.events)
+            ordered_np = columnar.sorted_phase_events(cols, phase.events)
             if opts.order == "physical":
-                orders = columnar.physical_order_columnar(table, ordered_np)
+                orders = columnar.physical_order_columnar(cols, ordered_np)
             elif mode == "mpi":
                 orders = reordered_order_mp(
                     trace_, phase.events, initial.block_of_event,
-                    _ordered=ordered_np.tolist(), _table=table,
+                    _ordered=ordered_np.tolist(), _columns=cols,
                 )
             else:
                 orders = columnar.task_order_columnar(
-                    table, ordered_np, boe_arr, inv_keys
+                    cols, ordered_np, boe_arr, inv_keys
                 )
             for chare, order in orders.items():
                 chare_orders[(phase.id, chare)] = order
-            result = columnar.local_steps_columnar(table, orders)
+            result = columnar.local_steps_columnar(cols, orders)
             if result is None:  # suspected cycle: python reference fallback
                 steps, max_s = assign_local_steps(trace_, phase.events, orders)
                 for ev, s in steps.items():

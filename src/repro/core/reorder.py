@@ -178,7 +178,7 @@ def reordered_order_mp(
     phase_events: Sequence[int],
     block_of_event: Sequence[int],
     _ordered: Optional[List[int]] = None,
-    _table=None,
+    _columns=None,
 ) -> Dict[int, List[int]]:
     """Per-process order for the message-passing model: pinned sends.
 
@@ -186,21 +186,21 @@ def reordered_order_mp(
     a stable sort by ``w`` keeps every send after the receives that came
     before it, while receives are free to reorder (Figure 9).
 
-    ``_ordered`` is the (time, id)-sorted event list and ``_table`` the
-    trace's :class:`~repro.core.columnar.EventTable` when the caller has
-    them (columnar backend): kinds, chares and message partners are then
-    gathered from its columns instead of event records.  The send w
-    depends on a running max over earlier receives, so the clock itself
-    stays a replay loop.
+    ``_ordered`` is the (time, id)-sorted event list and ``_columns``
+    the trace's :class:`~repro.trace.columns.TraceColumns` when the
+    caller has them (columnar backend): kinds, chares and message
+    partners are then gathered from the columns instead of event
+    records.  The send w depends on a running max over earlier
+    receives, so the clock itself stays a replay loop.
     """
     events = trace.events
     ordered = (_ordered if _ordered is not None
                else sorted(phase_events, key=lambda e: (events[e].time, e)))
-    if _table is not None:
+    if _columns is not None:
         idx = np.asarray(ordered, np.int64)
-        kinds = _table.kind[idx].tolist()
-        chares = _table.chare[idx].tolist()
-        partners = _table.partner_send[idx].tolist()
+        kinds = _columns.ev_kind[idx].tolist()
+        chares = _columns.ev_chare[idx].tolist()
+        partners = _columns.partner_send[idx].tolist()
     else:
         recs = [events[ev] for ev in ordered]
         kinds = [rec.kind for rec in recs]

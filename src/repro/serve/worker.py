@@ -22,7 +22,6 @@ from repro.core.pipeline import (
     extract_logical_structure,
 )
 from repro.report import analysis_document, render_document
-from repro.trace.model import Trace
 from repro.trace.source import open_trace
 
 __all__ = ["analyze_one", "render_document"]
@@ -37,8 +36,7 @@ def analyze_one(source, option_fields: dict):
     t0 = _time.perf_counter()  # repro-lint: disable=DET001 reason=job timing telemetry, never keyed or cached
     try:
         opts = PipelineOptions(**option_fields)
-        trace = (source if isinstance(source, Trace)
-                 else open_trace(source, ingest=opts.ingest).trace())
+        trace = open_trace(source).trace()
         stats = PipelineStats()
         structure = extract_logical_structure(trace, opts, stats=stats)
         doc = analysis_document(structure, stats)

@@ -1,10 +1,12 @@
 """Columnar trace storage: dense NumPy columns plus a lazy :class:`Trace`.
 
-The chunked reader (:func:`repro.trace.reader.read_trace_chunked`) parses
-a JSONL trace directly into the per-record-type arrays of
-:class:`TraceColumns` — no per-event dataclass objects on the hot path.
-:class:`ColumnarTrace` wraps those columns in the full :class:`Trace`
-API:
+:class:`TraceColumns` is the one column layout of a trace: ingest,
+defect detection, repair, the pipeline kernels, the document and the
+content digest all read it through :meth:`TraceColumns.of`.  The chunked
+reader (:func:`repro.trace.reader.read_trace_chunked`) parses a JSONL
+trace directly into these per-record-type arrays — no per-event
+dataclass objects on the hot path — and :class:`ColumnarTrace` wraps
+them in the full :class:`Trace` API:
 
 * ``events`` / ``executions`` / ``messages`` / ``idles`` are
   :class:`LazyRecordList` views that materialize a dataclass record only
@@ -14,11 +16,11 @@ API:
   ``executions_by_chare``, ...) are built **on first access**, each by a
   vectorized kernel that replays the exact insertion-and-sort order of
   :meth:`Trace._build_indexes` — the columnar pipeline only ever touches
-  ``executions_by_chare``;
-* the :class:`~repro.core.columnar.EventTable` / ``ExecTable`` caches are
-  seeded straight from the columns (``EventTable.from_columns``), which
-  removes the ``np.fromiter``-over-objects table build that dominated
-  the million-event profile.
+  ``executions_by_chare``.
+
+An object-backed trace (:func:`repro.trace.reader.read_trace`, a
+:class:`~repro.trace.model.TraceBuilder`) gets its columns extracted from
+the records once, on first use, and cached on the trace.
 
 Bit-identity with the eager path is the contract: every index kernel
 here reproduces the python loop's dict/list orders element for element,
@@ -26,8 +28,8 @@ and the differential twins in ``tests/test_streaming_ingest.py`` hold
 the line.  Instances pickle compactly (arrays, not objects), so
 pipeline checkpoints of a streamed trace double as stream snapshots.
 
-This module must not import :mod:`repro.core` at import time (the core
-imports the trace model); the table seeding imports lazily.
+This module must not import :mod:`repro.core` (the core imports the
+trace model).
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ class TraceColumns:
     ``ev_chare``/``ev_pe``/``ev_exec`` (int64), ``ev_time`` (float64).
     Messages: ``msg_send``/``msg_recv`` (int64).  Idles: ``idle_pe``
     (int64), ``idle_start``/``idle_end`` (float64).  Row *i* of each
-    family is the record with dense id *i*.
+    family is the record with dense id *i*.  ``partner_send`` is derived
+    from the message columns on first use (see its docstring).
     """
 
     __slots__ = (
@@ -66,6 +69,7 @@ class TraceColumns:
         "ev_kind", "ev_chare", "ev_pe", "ev_time", "ev_exec",
         "msg_send", "msg_recv",
         "idle_pe", "idle_start", "idle_end",
+        "_partner_send",
     )
 
     def __init__(self, ex_chare, ex_entry, ex_pe, ex_start, ex_end, ex_recv,
@@ -87,6 +91,24 @@ class TraceColumns:
         self.idle_pe = idle_pe
         self.idle_start = idle_start
         self.idle_end = idle_end
+        self._partner_send = None
+
+    @property
+    def partner_send(self):
+        """Per event: the send event of the message it receives, or -1.
+
+        Like ``message_by_recv`` composed with ``Message.send_event``, a
+        later message overwrites an earlier one, and a matched receive
+        whose message lost its send endpoint stays -1.  Derived on first
+        use, so reading the other columns never trips over an
+        out-of-range receive id (defect detection reports those).
+        """
+        if self._partner_send is None:
+            partner = np.full(self.n_events, -1, np.int64)
+            has_recv = self.msg_recv >= 0
+            partner[self.msg_recv[has_recv]] = self.msg_send[has_recv]
+            self._partner_send = partner
+        return self._partner_send
 
     @property
     def n_events(self) -> int:
@@ -104,16 +126,15 @@ class TraceColumns:
     def n_idles(self) -> int:
         return len(self.idle_pe)
 
-    def nbytes(self) -> int:
-        """Total bytes held by the column arrays."""
-        return sum(getattr(self, name).nbytes for name in self.__slots__)
-
     @classmethod
     def of(cls, trace: Trace) -> "TraceColumns":
         """A chunk-ingested trace's own columns; for an object-backed
-        trace, columns extracted from its records (not cached)."""
+        trace, columns extracted from its records on the first call and
+        cached on the trace (a built trace is never mutated)."""
         columns = getattr(trace, "columns", None)
-        return columns if columns is not None else cls.from_trace(trace)
+        if columns is None:
+            columns = trace.columns = cls.from_trace(trace)
+        return columns
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "TraceColumns":
@@ -384,11 +405,10 @@ class ColumnarTrace(Trace):
     and every derived index is computed vectorized on first access.
     """
 
-    #: Indexes (and table caches) served lazily by ``__getattr__``.
+    #: Indexes served lazily by ``__getattr__``.
     _LAZY_ATTRS = frozenset({
         "events_by_execution", "messages_by_send", "message_by_recv",
         "executions_by_chare", "executions_by_pe", "idles_by_pe",
-        "_columnar_table", "_columnar_execs",
     })
 
     def __init__(
@@ -437,35 +457,12 @@ class ColumnarTrace(Trace):
             xids = np.arange(cols.n_executions, dtype=np.int64)
             return _by_pe(cols.ex_pe, (xids, cols.ex_start), xids,
                           self.num_pes)
-        if name == "idles_by_pe":
-            # Values are IdleInterval records sorted stably by start.
-            iids = np.arange(cols.n_idles, dtype=np.int64)
-            by_pe = _by_pe(cols.idle_pe, (iids, cols.idle_start), iids,
-                           self.num_pes)
-            idles = self.idles
-            return {pe: [idles[i] for i in ids] for pe, ids in by_pe.items()}
-        # _columnar_table / _columnar_execs: seed the pipeline's cached
-        # tables straight from the columns (imported lazily — the core
-        # package imports this package).
-        from repro.core.columnar import EventTable, ExecTable
-
-        if name == "_columnar_table":
-            return EventTable.from_columns(
-                kind=cols.ev_kind, chare=cols.ev_chare, pe=cols.ev_pe,
-                time=cols.ev_time, execution=cols.ev_exec,
-                msg_send=cols.msg_send, msg_recv=cols.msg_recv,
-            )
-        assert name == "_columnar_execs"
-        return ExecTable.from_columns(
-            start=cols.ex_start, end=cols.ex_end, pe=cols.ex_pe,
-            entry=cols.ex_entry, chare=cols.ex_chare,
-            recv_event=cols.ex_recv, entries=self.entries,
-        )
-
-    def end_time(self) -> float:
-        if not cols_len(self.columns.ex_end):
-            return 0.0
-        return float(self.columns.ex_end.max())
+        # idles_by_pe: IdleInterval records sorted stably by start.
+        iids = np.arange(cols.n_idles, dtype=np.int64)
+        by_pe = _by_pe(cols.idle_pe, (iids, cols.idle_start), iids,
+                       self.num_pes)
+        idles = self.idles
+        return {pe: [idles[i] for i in ids] for pe, ids in by_pe.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -474,8 +471,3 @@ class ColumnarTrace(Trace):
             f"events={self.columns.n_events}, "
             f"messages={self.columns.n_messages}, pes={self.num_pes})"
         )
-
-
-def cols_len(arr) -> int:
-    """len() of a column array (tiny helper to keep end_time readable)."""
-    return int(arr.shape[0])

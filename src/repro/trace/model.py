@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.trace.events import (
     NO_ID,
     Chare,
@@ -184,10 +186,15 @@ class Trace:
         return [c.id for c in self.chares if c.is_runtime]
 
     def end_time(self) -> float:
-        """Physical end time of the trace (latest execution end)."""
-        if not self.executions:
-            return 0.0
-        return max(ex.end for ex in self.executions)
+        """Physical end time of the trace: the latest execution end.
+
+        A NaN end never wins (``np.fmax``); the result is NaN only when
+        every end is NaN, and 0.0 for a trace without executions.
+        """
+        from repro.trace.columns import TraceColumns  # imports this module
+
+        ends = TraceColumns.of(self).ex_end
+        return float(np.fmax.reduce(ends)) if len(ends) else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -101,6 +101,9 @@ def _read_stream(fh: IO[str]) -> Trace:
     events: Dict[int, DepEvent] = {}
     messages: Dict[int, Message] = {}
     idles: List[IdleInterval] = []
+    # Line of each event whose owner id may not name an execution (it
+    # does not name one read so far); checked once all are read.
+    suspect_owner: Dict[int, int] = {}
 
     for lineno, line in enumerate(fh, start=1):
         line = line.strip()
@@ -135,9 +138,14 @@ def _read_stream(fh: IO[str]) -> Trace:
             )
         elif kind == "event":
             _check_event_kind(rec["k"], lineno)
+            owner = rec.get("ex", -1)
             events[rec["id"]] = DepEvent(
-                rec["id"], EventKind(rec["k"]), rec["c"], rec["pe"], rec["tm"], rec.get("ex", -1)
+                rec["id"], EventKind(rec["k"]), rec["c"], rec["pe"], rec["tm"], owner
             )
+            if owner < -1 or owner >= len(executions):
+                suspect_owner[rec["id"]] = lineno
+            else:
+                suspect_owner.pop(rec["id"], None)
         elif kind == "msg":
             messages[rec["id"]] = Message(rec["id"], rec.get("s", -1), rec.get("r", -1))
         elif kind == "idle":
@@ -149,6 +157,17 @@ def _read_stream(fh: IO[str]) -> Trace:
 
     if header is None:
         raise TraceFormatError("missing header record")
+    n_exec = len(executions)
+    bad_owner = [(line, ev_id) for ev_id, line in suspect_owner.items()
+                 if not -n_exec <= events[ev_id].execution < n_exec]
+    if bad_owner:
+        # An id Python indexing cannot take: the owner index would
+        # raise a bare IndexError.
+        lineno, ev_id = min(bad_owner)
+        raise TraceFormatError(
+            f"line {lineno}: event {ev_id} names execution "
+            f"{events[ev_id].execution}, but the trace has {n_exec} "
+            "executions", kind="event", line=lineno)
 
     return Trace(
         chares=_densify(chares, "chare"),

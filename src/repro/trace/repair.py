@@ -118,10 +118,7 @@ def _orphan_events(trace: Trace) -> List[int]:
     """
     if not trace.executions:
         return []
-    columns = getattr(trace, "columns", None)
-    if columns is None:
-        return [ev.id for ev in trace.events if ev.execution == NO_ID]
-    return np.flatnonzero(columns.ev_exec == NO_ID).tolist()
+    return np.flatnonzero(TraceColumns.of(trace).ev_exec == NO_ID).tolist()
 
 
 def detect_defects(trace: Trace) -> Dict[str, int]:

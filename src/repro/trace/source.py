@@ -4,18 +4,18 @@ A :class:`TraceSource` abstracts the three places a trace can live — a
 JSONL file on disk, an open stream, or an already-materialized
 :class:`~repro.trace.model.Trace` — behind one small protocol:
 
-* :meth:`~TraceSource.trace` materializes the trace (honoring the
-  source's ingestion mode: eager objects or streamed columns);
+* :meth:`~TraceSource.trace` materializes the trace (files and streams
+  stream into a :class:`~repro.trace.columns.ColumnarTrace`);
 * :attr:`~TraceSource.label` names the source for reports and errors;
 * :attr:`~TraceSource.path` is the backing file, when there is one
   (lets callers key caches on file bytes instead of record contents).
 
 :func:`open_trace` is the front door: every consumer that accepts "a
 trace or a path" (`repro.api.extract`, the CLI loaders, batch runs,
-``repro.trace.validate``) routes through it, so ingestion policy lives
-in exactly one place.  Passing an in-memory ``Trace`` always returns it
-unchanged — the historical ``read_trace`` → ``extract`` idiom keeps
-working verbatim.
+``repro.trace.validate``) routes through it, so a trace file is read
+one way everywhere: by the chunked reader.  Passing an in-memory
+``Trace`` always returns it unchanged — the historical ``read_trace``
+(the object-backed reader) → ``extract`` idiom keeps working verbatim.
 """
 
 from __future__ import annotations
@@ -24,17 +24,6 @@ from pathlib import Path
 from typing import IO, Optional, Union
 
 from repro.trace.model import Trace
-
-#: Ingestion modes :func:`open_trace` understands.
-INGEST_MODES = ("auto", "eager", "chunked")
-
-
-def resolve_ingest(ingest: str) -> str:
-    """Concrete ingestion mode: "auto" is "chunked"."""
-    if ingest not in INGEST_MODES:
-        raise ValueError(
-            f"unknown ingest mode {ingest!r}; expected one of {INGEST_MODES}")
-    return "chunked" if ingest == "auto" else ingest
 
 
 class TraceSource:
@@ -71,57 +60,48 @@ class MemoryTraceSource(TraceSource):
 class FileTraceSource(TraceSource):
     """A JSONL trace file; each ``trace()`` call reads it afresh."""
 
-    __slots__ = ("path", "label", "ingest", "chunk_bytes")
+    __slots__ = ("path", "label", "chunk_bytes")
 
-    def __init__(self, path: Union[str, Path], *, ingest: str = "auto",
+    def __init__(self, path: Union[str, Path], *,
                  chunk_bytes: Optional[int] = None):
         self.path = Path(path)
         self.label = str(path)
-        self.ingest = resolve_ingest(ingest)
         self.chunk_bytes = chunk_bytes
 
     def trace(self) -> Trace:
-        return _read(self.path, self.ingest, self.chunk_bytes)
+        return _read(self.path, self.chunk_bytes)
 
 
 class StreamTraceSource(TraceSource):
     """An open stream; consumed once, the trace is cached thereafter."""
 
-    __slots__ = ("_stream", "_trace", "label", "ingest", "chunk_bytes",
-                 "path")
+    __slots__ = ("_stream", "_trace", "label", "chunk_bytes", "path")
 
-    def __init__(self, stream: IO, *, ingest: str = "auto",
-                 chunk_bytes: Optional[int] = None,
+    def __init__(self, stream: IO, *, chunk_bytes: Optional[int] = None,
                  label: str = "<stream>"):
         self._stream = stream
         self._trace: Optional[Trace] = None
         self.label = label
-        self.ingest = resolve_ingest(ingest)
         self.chunk_bytes = chunk_bytes
         self.path = None
 
     def trace(self) -> Trace:
         if self._trace is None:
-            self._trace = _read(self._stream, self.ingest, self.chunk_bytes)
+            self._trace = _read(self._stream, self.chunk_bytes)
             self._stream = None  # consumed; drop the handle
         return self._trace
 
 
-def _read(source, ingest: str, chunk_bytes: Optional[int]) -> Trace:
-    if ingest == "chunked":
-        from repro.trace.reader import DEFAULT_CHUNK_BYTES, read_trace_chunked
+def _read(source, chunk_bytes: Optional[int]) -> Trace:
+    from repro.trace.reader import DEFAULT_CHUNK_BYTES, read_trace_chunked
 
-        return read_trace_chunked(
-            source, chunk_bytes=chunk_bytes or DEFAULT_CHUNK_BYTES)
-    from repro.trace.reader import read_trace
-
-    return read_trace(source)
+    return read_trace_chunked(
+        source, chunk_bytes=chunk_bytes or DEFAULT_CHUNK_BYTES)
 
 
 def open_trace(
     source: Union[str, Path, IO, Trace, TraceSource],
     *,
-    ingest: str = "auto",
     chunk_bytes: Optional[int] = None,
 ) -> TraceSource:
     """Wrap any way of designating a trace in a :class:`TraceSource`.
@@ -129,10 +109,11 @@ def open_trace(
     ``source`` may be a filesystem path, an open stream (text or
     binary), an in-memory :class:`Trace` (returned untouched inside a
     :class:`MemoryTraceSource` — identity is preserved), or an existing
-    :class:`TraceSource` (passed through unchanged; ``ingest`` does not
-    override its policy).  ``ingest`` selects the reader for path and
-    stream sources: "eager" (object-backed trace), "chunked" (streamed
-    columnar trace, bit-identical), or "auto" (chunked).
+    :class:`TraceSource` (passed through unchanged).  Path and stream
+    sources stream into a :class:`~repro.trace.columns.ColumnarTrace`
+    (:func:`~repro.trace.reader.read_trace_chunked`, ``chunk_bytes`` per
+    chunk); :func:`~repro.trace.reader.read_trace` is the object-backed
+    reader.
     """
     if isinstance(source, Trace):
         return MemoryTraceSource(source)
@@ -141,10 +122,9 @@ def open_trace(
             and callable(getattr(source, "trace", None))):
         return source  # already a source (nominal or duck-typed)
     if isinstance(source, (str, Path)):
-        return FileTraceSource(source, ingest=ingest, chunk_bytes=chunk_bytes)
+        return FileTraceSource(source, chunk_bytes=chunk_bytes)
     if hasattr(source, "read"):
-        return StreamTraceSource(source, ingest=ingest,
-                                 chunk_bytes=chunk_bytes)
+        return StreamTraceSource(source, chunk_bytes=chunk_bytes)
     raise TypeError(
         f"cannot open {type(source).__name__!r} as a trace source; expected "
         "a path, an open stream, a Trace, or a TraceSource")

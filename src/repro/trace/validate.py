@@ -97,9 +97,9 @@ def collect_trace_problems(
     ``trace`` may also be a :class:`~repro.trace.source.TraceSource`:
     the source is resolved here.  The checks run as one pass of boolean
     masks over the trace's :class:`~repro.trace.columns.TraceColumns`
-    (extracted once from an object-backed trace), so a chunk-ingested
-    trace is checked without building a record; only a flagged record
-    is read back, to word its message.
+    (extracted from an object-backed trace on first use and cached on
+    it), so a chunk-ingested trace is checked without building a
+    record; only a flagged record is read back, to word its message.
 
     Violations come in section order — executions, events, messages,
     idles, then PE overlaps — and within a section by record id, then

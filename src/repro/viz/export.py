@@ -9,9 +9,9 @@ from typing import Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
-from repro.core.columnar import EventTable, ExecTable
 from repro.core.structure import LogicalStructure
 from repro.report import encode_json
+from repro.trace.columns import TraceColumns
 from repro.trace.events import EventKind
 
 
@@ -30,35 +30,34 @@ def structure_to_rows(
     """One row per stepped event: identity, placement, optional metrics.
 
     Rows are ordered by (step, chare, event id).  They are built from
-    the trace's :class:`~repro.core.columnar.EventTable` /
-    ``ExecTable`` columns, never from per-event records; names and
-    flags are looked up once per distinct kind, chare and entry, and
-    every value is a plain ``int``/``float``/``str``/``bool``.  Each
-    metric adds a column ``mapping.get(event, 0.0)``.
+    the trace's :class:`~repro.trace.columns.TraceColumns`, never from
+    per-event records; names and flags are looked up once per distinct
+    kind, chare and entry, and every value is a plain
+    ``int``/``float``/``str``/``bool``.  Each metric adds a column
+    ``mapping.get(event, 0.0)``.
     """
     trace = structure.trace
-    table = EventTable.of(trace)
+    cols = TraceColumns.of(trace)
     steps = np.asarray(structure.step_of_event, dtype=np.int64)
     ev = np.flatnonzero(steps >= 0)
-    ev = ev[np.lexsort((ev, table.chare[ev], steps[ev]))]
-    chare = table.chare[ev]
-    execution = table.execution[ev]
+    ev = ev[np.lexsort((ev, cols.ev_chare[ev], steps[ev]))]
+    chare = cols.ev_chare[ev]
+    execution = cols.ev_exec[ev]
     traced = execution >= 0
     entry = np.full(len(ev), "", dtype=object)
     if traced.any():
-        entry[traced] = _per_value(
-            ExecTable.of(trace).entry[execution[traced]],
-            lambda e: trace.entry(e).name)
+        entry[traced] = _per_value(cols.ex_entry[execution[traced]],
+                                   lambda e: trace.entry(e).name)
     chares = _per_value(chare, lambda c: trace.chares[c]).tolist()
     columns = {
         "event": ev.tolist(),
-        "kind": _per_value(table.kind[ev],
+        "kind": _per_value(cols.ev_kind[ev],
                            lambda k: EventKind(k).name).tolist(),
         "chare": chare.tolist(),
         "chare_name": [c.name for c in chares],
         "is_runtime": [c.is_runtime for c in chares],
-        "pe": table.pe[ev].tolist(),
-        "time": table.time[ev].tolist(),
+        "pe": cols.ev_pe[ev].tolist(),
+        "time": cols.ev_time[ev].tolist(),
         "entry": entry.tolist(),
         "phase": np.asarray(structure.phase_of_event, np.int64)[ev].tolist(),
         "step": steps[ev].tolist(),

@@ -16,12 +16,18 @@ stable sort, and a ``json`` encode/decode round trip.
 oracle of trace defect detection: the record loop that
 :func:`repro.trace.validate.collect_trace_problems` replaced with column
 masks.
+
+``reference_trace_digest`` is the per-record oracle of the in-memory
+:func:`repro.batch.trace_digest`: one ``struct.pack`` per record, where
+the digest packs the trace's columns.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+import struct
 from typing import Dict, List, Optional, Tuple
 
 from repro.trace.events import NO_ID, EventKind
@@ -213,6 +219,50 @@ def reference_trace_problems(trace: Trace,
                     prev_end = ex.end
                     prev_id = xid
     return problems
+
+
+def reference_trace_digest(trace: Trace) -> str:
+    """The content digest of an in-memory trace, one record at a time."""
+    def num(value) -> int:
+        return -(1 << 40) if value is None else int(value)
+
+    def text(value: Optional[str]) -> None:
+        data = ("" if value is None else value).encode("utf-8", "replace")
+        h.update(struct.pack("<q", len(data)))
+        h.update(data)
+
+    h = hashlib.sha256()
+    h.update(struct.pack(
+        "<8q", len(trace.events), len(trace.messages),
+        len(trace.executions), len(trace.chares), len(trace.entries),
+        len(trace.arrays), len(trace.idles), num(trace.num_pes),
+    ))
+    for e in trace.events:
+        h.update(struct.pack("<4qd", num(e.kind), num(e.chare), num(e.pe),
+                             num(e.execution), e.time))
+    for m in trace.messages:
+        h.update(struct.pack("<2q", num(m.send_event), num(m.recv_event)))
+    for x in trace.executions:
+        h.update(struct.pack("<4q2d", num(x.chare), num(x.entry), num(x.pe),
+                             num(x.recv_event), x.start, x.end))
+    for c in trace.chares:
+        h.update(struct.pack("<3q?", num(c.id), num(c.array_id),
+                             num(c.home_pe), bool(c.is_runtime)))
+        h.update(struct.pack(f"<{len(c.index)}q", *c.index))
+        text(c.name)
+    for ent in trace.entries:
+        h.update(struct.pack("<q?q", num(ent.id), bool(ent.is_sdag_serial),
+                             num(ent.sdag_ordinal)))
+        text(ent.name)
+        text(ent.chare_type)
+    for arr in trace.arrays:
+        h.update(struct.pack(f"<2q{len(arr.shape)}q", num(arr.id),
+                             len(arr.shape), *arr.shape))
+        text(arr.name)
+    for idle in trace.idles:
+        h.update(struct.pack("<q2d", num(idle.pe), idle.start, idle.end))
+    h.update(repr(sorted(trace.metadata.items())).encode())
+    return h.hexdigest()
 
 
 def reference_defects(trace: Trace) -> Dict[str, int]:

@@ -85,7 +85,8 @@ def test_fault_corpus_matches_oracle(app, tmp_path):
         path = tmp_path / f"{label}.jsonl"
         write_trace(trace, path)
         for ingest in ("chunked", "eager"):
-            ingested = open_trace(path, ingest=ingest).trace()
+            ingested = (read_trace(path) if ingest == "eager"
+                        else open_trace(path).trace())
             assert isinstance(ingested, ColumnarTrace) == (ingest == "chunked")
             assert_matches_oracle(ingested, (label, ingest))
 

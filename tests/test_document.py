@@ -42,7 +42,7 @@ from repro.core.pipeline import (
     extract_logical_structure,
 )
 from repro.report import analysis_document, encode_json, render_document
-from repro.trace import write_trace
+from repro.trace import read_trace, write_trace
 from repro.trace.columns import (
     ColumnarTrace,
     EventList,
@@ -110,7 +110,8 @@ def assert_matches_oracle(structure, stats, tmp_path, metrics=None):
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_document_matches_oracle(app, backend, ingest, order, app_files,
                                  tmp_path):
-    trace = open_trace(app_files[app], ingest=ingest).trace()
+    trace = (read_trace(app_files[app]) if ingest == "eager"
+             else open_trace(app_files[app]).trace())
     assert isinstance(trace, ColumnarTrace) == (ingest == "chunked")
     stats = PipelineStats()
     structure = extract_logical_structure(
@@ -123,7 +124,7 @@ def test_document_matches_oracle(app, backend, ingest, order, app_files,
 def test_document_with_metric_matches_oracle(metric, app_files, tmp_path):
     from repro import metrics as m
 
-    trace = open_trace(app_files["jacobi2d"], ingest="chunked").trace()
+    trace = open_trace(app_files["jacobi2d"]).trace()
     stats = PipelineStats()
     structure = extract_logical_structure(trace, PipelineOptions(),
                                           stats=stats)
@@ -184,7 +185,8 @@ def test_untraced_events_get_an_empty_entry(ingest, tmp_path):
                       events=events, messages=base.messages,
                       idles=base.idles, num_pes=base.num_pes,
                       metadata=base.metadata), path)
-    structure.trace = open_trace(path, ingest=ingest).trace()
+    structure.trace = (read_trace(path) if ingest == "eager"
+                       else open_trace(path).trace())
     assert "" in {row["entry"] for row in reference_rows(structure)}
     assert_matches_oracle(structure, PipelineStats(), tmp_path)
 
@@ -202,7 +204,8 @@ def test_integer_timestamps_render_alike_on_both_ingests(tmp_path):
     for ingest in ("chunked", "eager"):
         stats = PipelineStats()
         structure = extract_logical_structure(
-            open_trace(path, ingest=ingest).trace(), stats=stats)
+            read_trace(path) if ingest == "eager"
+            else open_trace(path).trace(), stats=stats)
         doc = analysis_document(structure, stats)
         assert [row["time"] for row in doc["events"]] == [5.0, 12.0]
         assert all(type(row["time"]) is float for row in doc["events"])
@@ -217,7 +220,7 @@ def test_document_layer_builds_no_event_records(app, app_files, tmp_path,
     options, read every record field from the columns: no lazy list
     builds a record.  (``repair`` detection, off by default, still reads
     records.)"""
-    trace = open_trace(app_files[app], ingest="chunked").trace()
+    trace = open_trace(app_files[app]).trace()
     made = []
     for cls in (EventList, ExecutionList, MessageList, IdleList):
         def counted(self, i, _make=cls._make, _cls=cls.__name__):
@@ -239,7 +242,7 @@ def test_hardened_extract_builds_no_records(app, app_files, tmp_path,
     """The hardened pass of a chunk-ingested trace — defect detection
     (``repair="warn"``), fallback snapshots and checkpoints — reads
     columns too: no lazy list builds a record."""
-    trace = open_trace(app_files[app], ingest="chunked").trace()
+    trace = open_trace(app_files[app]).trace()
     made = []
     for cls in (EventList, ExecutionList, MessageList, IdleList):
         def counted(self, i, _make=cls._make, _cls=cls.__name__):

@@ -619,7 +619,9 @@ def test_partition_state_pickles_without_derived_data(trace):
     assert restored.partition_events() == state.partition_events()
     assert restored.initial_events_by_chare() == \
         state.initial_events_by_chare()
-    assert restored.table.time.tolist() == state.table.time.tolist()
+    for name in columnar.ColumnarPartitionState._DERIVED:
+        assert (getattr(restored, name).tolist()
+                == getattr(state, name).tolist()), name
 
 
 def test_snapshots_only_before_restorable_stages(trace, monkeypatch):

@@ -50,7 +50,6 @@ from repro.trace.source import (
     MemoryTraceSource,
     StreamTraceSource,
     open_trace,
-    resolve_ingest,
 )
 from repro.trace.validate import validate_trace
 from repro.trace.writer import write_trace
@@ -439,7 +438,7 @@ def test_open_trace_stream_consumed_once(tmp_path):
     trace = APPS["jacobi2d"]()
     path = _write(trace, tmp_path)
     stream = io.StringIO(open(path).read())
-    src = open_trace(stream, ingest="chunked")
+    src = open_trace(stream)
     assert isinstance(src, StreamTraceSource)
     first = src.trace()
     assert src.trace() is first  # cached; the stream is gone
@@ -468,14 +467,10 @@ def test_open_trace_rejects_junk():
 
 def test_ingest_mode_selects_reader(tmp_path):
     path = _write(APPS["jacobi2d"](), tmp_path)
-    assert isinstance(open_trace(path, ingest="chunked").trace(),
-                      ColumnarTrace)
-    eager = open_trace(path, ingest="eager").trace()
+    assert isinstance(open_trace(path).trace(), ColumnarTrace)
+    eager = read_trace(path)
     assert isinstance(eager, Trace)
     assert not isinstance(eager, ColumnarTrace)
-    assert resolve_ingest("auto") == "chunked"
-    with pytest.raises(ValueError, match="ingest"):
-        resolve_ingest("bogus")
 
 
 def test_extract_accepts_path_and_source(tmp_path):
