@@ -187,10 +187,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+class TraceLoadError(Exception):
+    """A trace the CLI cannot read; ``main`` reports it and returns 2."""
+
+
 def _load(path: str):
     from repro.trace import open_trace
+    from repro.trace.reader import TraceFormatError
 
-    return open_trace(path).trace()
+    try:
+        return open_trace(path).trace()
+    except OSError as exc:
+        raise TraceLoadError(f"{path}: {exc.strerror or exc}") from exc
+    except TraceFormatError as exc:
+        raise TraceLoadError(f"{path}: {exc}") from exc
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -1026,6 +1036,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except TraceLoadError as exc:
+        print(f"repro {args.command}: cannot read trace {exc}",
+              file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; not an error.
         try:

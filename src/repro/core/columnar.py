@@ -17,10 +17,16 @@ kernels while producing *bit-identical* results to the pure-Python code:
   ``partition_chares``, ``members``) are computed with array kernels and
   whose merge rounds run as one batched union pass each
   (:meth:`~ColumnarPartitionState.batch_union_pairs`).
-* Stage-5/6 kernels — physical ordering (argsort per chare), the
-  reorder *w* clock (forest depth by pointer doubling), local-step
-  propagation (segmented running-max fixed point), leap computation and
-  global-offset application.
+* Stage-5 kernels — every phase of the trace in one pass: one
+  (phase, time, id) sort; physical, task and message-passing event
+  orders (:func:`physical_orders`, :func:`task_orders`,
+  :func:`message_passing_orders`), where the task order takes the *w*
+  clock as a forest depth by pointer doubling and sorts every serial
+  block under one ``lexsort`` of its Figure 7 key written as a padded
+  int64 row; and local steps as one segmented running-max fixed point
+  (:func:`local_steps`) that hands each unsettled phase back to the
+  python implementation on its own.  Plus leap computation
+  (:func:`compute_leaps_columnar`) for the phase sort.
 
 Bit-identity is not incidental: downstream stages iterate dicts and sets
 whose *insertion order* influences union order in the DSU and therefore
@@ -36,7 +42,8 @@ pipeline's fallback rung.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import operator
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 # NumPy 2's np.unique imports numpy.ma on its first call; importing it
 # here keeps each forked ``repro batch`` worker from paying that import
@@ -56,8 +63,9 @@ from repro.trace.columns import TraceColumns
 from repro.trace.events import EventKind
 from repro.trace.model import Trace
 
-#: Fixed-point rounds before :func:`local_steps_columnar` hands the phase
-#: back to the python Kahn implementation (deep message chains / cycles).
+#: Fixed-point rounds before :func:`local_steps` hands a phase that is
+#: still moving back to the python Kahn implementation (deep message
+#: chains / cycles).
 MAX_STEP_ROUNDS = 80
 
 
@@ -935,202 +943,351 @@ def build_initial_columnar(trace: Trace, mode: str = "charm",
 
 
 # ----------------------------------------------------------------------
-# Stage 5/6 kernels
+# Stage 5 kernels: every phase of the trace in one pass
 # ----------------------------------------------------------------------
-def sorted_phase_events(cols: TraceColumns, phase_events: Sequence[int]):
-    """Phase events as an array sorted by (time, id)."""
-    evs = np.asarray(phase_events, np.int64)
-    if not len(evs):
-        return evs
-    return evs[np.lexsort((evs, cols.ev_time[evs]))]
+#: Padding of the fixed-width block sort keys.  It is below every key
+#: element (w clocks, chare ids, array indices, the -1 of "no invoker"),
+#: so a key sorts before every longer key it is a prefix of, exactly as
+#: a python tuple does.
+KEY_PAD = np.iinfo(np.int64).min
 
 
-def physical_order_columnar(cols: TraceColumns, ordered) -> Dict[int, List[int]]:
-    """Vectorized :func:`repro.core.reorder.physical_order`.
+class PhaseOrders(NamedTuple):
+    """The per-(phase, chare) event orders of every phase, concatenated.
 
-    ``ordered`` must already be (time, id) sorted; keys appear in the
-    order each chare first occurs in it, matching the python dict.
+    Order ``i`` is ``events[starts[i]:starts[i + 1]]``: the events of
+    chare ``chare[i]`` in phase ``phase[i]`` (an index into the
+    pipeline's phase list).  The orders are laid out in the insertion
+    order of the pipeline's ``chare_orders`` dict: phases in turn, and
+    within a phase the chares by their first event in (time, id) order.
     """
-    if not len(ordered):
-        return {}
-    chare = cols.ev_chare[ordered]
-    order = np.argsort(chare, kind="stable")
-    sorted_chares = chare[order]
-    starts = np.flatnonzero(np.r_[True, sorted_chares[1:] != sorted_chares[:-1]])
-    ends = np.r_[starts[1:], len(order)]
-    events_sorted = ordered[order].tolist()
-    perm = np.argsort(order[starts])  # first-occurrence order
-    out: Dict[int, List[int]] = {}
-    for gi in perm.tolist():
-        s, e = int(starts[gi]), int(ends[gi])
-        out[int(sorted_chares[s])] = events_sorted[s:e]
-    return out
+
+    events: np.ndarray
+    starts: np.ndarray
+    phase: np.ndarray
+    chare: np.ndarray
+
+    def lists(self) -> List[List[int]]:
+        """The orders as python lists, in layout order."""
+        flat = self.events.tolist()
+        bounds = self.starts.tolist()
+        return [flat[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
 
 
-def _w_depth(cols: TraceColumns, ordered, block_of_event):
-    """The reorder w clock per position of ``ordered``.
+def _no_orders() -> PhaseOrders:
+    empty = np.empty(0, np.int64)
+    return PhaseOrders(empty, np.zeros(1, np.int64), empty, empty)
 
-    The replay dependency of each event is unique — the matched in-phase
-    earlier send for a receive, else the previous event of its block —
-    so w is the depth of a forest, computed by pointer doubling.
+
+def _ranges(starts, lens):
+    """Concatenated ``arange(s, s + n)`` over the ``(s, n)`` pairs."""
+    offsets = np.cumsum(lens) - lens
+    return (np.repeat(starts - offsets, lens)
+            + np.arange(int(lens.sum()), dtype=np.int64))
+
+
+def _new_group(*keys):
+    """Flags the positions where any of the (grouped) ``keys`` changes."""
+    new = np.ones(len(keys[0]), np.bool_)
+    if len(new) > 1:
+        new[1:] = False
+        for key in keys:
+            new[1:] |= key[1:] != key[:-1]
+    return new
+
+
+def _phase_positions(cols: TraceColumns, phase_events: Sequence[Sequence[int]]):
+    """Every phase's events sorted by (phase, time, id), and their phases.
+
+    Within a phase this is the (time, id) replay order that every event
+    ordering starts from.  The phase column is already in that order.
     """
-    n = len(ordered)
-    pos = np.arange(n, dtype=np.int64)
-    block = block_of_event[ordered]
-    prev = np.full(n, -1, np.int64)
-    order = np.argsort(block, kind="stable")
-    blocks_sorted = block[order]
-    same = np.flatnonzero(blocks_sorted[1:] == blocks_sorted[:-1])
-    prev[order[same + 1]] = order[same]
+    sizes = np.fromiter((len(evs) for evs in phase_events), np.int64,
+                        len(phase_events))
+    if not sizes.sum():
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    flat = np.concatenate([np.asarray(evs, np.int64) for evs in phase_events])
+    phase = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    return flat[np.lexsort((flat, cols.ev_time[flat], phase))], phase
+
+
+def _in_phase_send(cols: TraceColumns, ordered, phase):
+    """Per position of ``ordered``: its matched send's position, or -1.
+
+    Only a receive has one, and only when the send is in the same phase.
+    """
     lookup = np.full(cols.n_events, -1, np.int64)
-    lookup[ordered] = pos
+    lookup[ordered] = np.arange(len(ordered), dtype=np.int64)
     partner = cols.partner_send[ordered]
-    partner_pos = np.where(partner >= 0, lookup[np.clip(partner, 0, None)], -1)
-    use_send = (
-        (cols.ev_kind[ordered] == int(EventKind.RECV))
-        & (partner_pos >= 0)
-        & (partner_pos < pos)  # replicates the ``send in w`` replay check
-    )
-    parent = np.where(use_send, partner_pos, prev)
+    is_recv = cols.ev_kind[ordered] == int(EventKind.RECV)
+    send = np.where(is_recv & (partner >= 0),
+                    lookup[np.clip(partner, 0, None)], -1)
+    found = np.flatnonzero(send >= 0)
+    other = found[phase[send[found]] != phase[found]]
+    send[other] = -1
+    return send
+
+
+def _layout(ordered, perm, phase, chare) -> PhaseOrders:
+    """:class:`PhaseOrders` from ``perm``, a permutation of positions.
+
+    ``perm`` holds each (phase, chare) order contiguously, sorted by
+    (phase, chare); the layout puts the orders in turn by their earliest
+    position instead.
+    """
+    starts = np.flatnonzero(_new_group(phase[perm], chare[perm]))
+    lens = np.diff(np.r_[starts, len(perm)])
+    by_first = np.argsort(np.minimum.reduceat(perm, starts))
+    take = perm[_ranges(starts[by_first], lens[by_first])]
+    lead = perm[starts[by_first]]
+    return PhaseOrders(ordered[take], np.r_[0, np.cumsum(lens[by_first])],
+                       phase[lead], chare[lead])
+
+
+def physical_orders(cols: TraceColumns,
+                    phase_events: Sequence[Sequence[int]]) -> PhaseOrders:
+    """Vectorized :func:`repro.core.reorder.physical_order`, every phase."""
+    ordered, phase = _phase_positions(cols, phase_events)
+    if not len(ordered):
+        return _no_orders()
+    chare = cols.ev_chare[ordered]
+    return _layout(ordered, np.lexsort((chare, phase)), phase, chare)
+
+
+def message_passing_orders(cols: TraceColumns,
+                           phase_events: Sequence[Sequence[int]]) -> PhaseOrders:
+    """Vectorized :func:`repro.core.reorder.reordered_order_mp`, every phase.
+
+    A receive's w is its in-phase send's w + 1 when that send came
+    earlier, else 0; any other event's w is 1 + the largest w of the
+    receives before it on its chare in the phase (0 without one).  Every
+    dependency points back in (phase, time, id) order, so one replay
+    loop over the whole trace computes the clock; each chare's events
+    are then stably sorted by it.
+    """
+    ordered, phase = _phase_positions(cols, phase_events)
+    n = len(ordered)
+    if not n:
+        return _no_orders()
+    chare = cols.ev_chare[ordered]
+    perm = np.lexsort((chare, phase))
+    new = _new_group(phase[perm], chare[perm])
+    bucket = np.empty(n, np.int64)
+    bucket[perm] = np.cumsum(new) - 1
+    send = _in_phase_send(cols, ordered, phase)
+    earlier = np.where(send < np.arange(n), send, -1)
+    is_recv = cols.ev_kind[ordered] == int(EventKind.RECV)
+    w = [0] * n
+    top = [-1] * int(new.sum())  # per (phase, chare): max receive w so far
+    for i, (recv, src, b) in enumerate(zip(is_recv.tolist(), earlier.tolist(),
+                                           bucket.tolist())):
+        if recv:
+            value = w[src] + 1 if src >= 0 else 0
+            if value > top[b]:
+                top[b] = value
+        else:
+            value = top[b] + 1
+        w[i] = value
+    by_w = np.lexsort((np.array(w, np.int64), bucket))  # stable: time order
+    return _layout(ordered, by_w, phase, chare)
+
+
+def _forest_depth(parent):
+    """Depth of every node of a forest given by parent pointers (-1 = root).
+
+    Pointer doubling: each round adds the depth of the node a pointer
+    reaches and doubles its reach.
+    """
     depth = (parent >= 0).astype(np.int64)
     jump = parent.copy()
     while True:
         live = np.flatnonzero(jump >= 0)
         if not len(live):
-            break
+            return depth
         target = jump[live]
         depth[live] += depth[target]
         jump[live] = jump[target]
-    return depth
 
 
-def trigger_send_array(cols: TraceColumns, ordered):
-    """Matched in-phase send per position of ``ordered`` (−1 when none)."""
-    lookup = np.full(cols.n_events, -1, np.int64)
-    lookup[ordered] = np.arange(len(ordered))
-    partner = cols.partner_send[ordered]
-    in_phase = np.where(partner >= 0, lookup[np.clip(partner, 0, None)], -1) >= 0
-    is_recv = cols.ev_kind[ordered] == int(EventKind.RECV)
-    return np.where(is_recv & in_phase, partner, -1)
+def _block_keys(w, invoker, nxt, inv_keys: Sequence[Tuple[int, ...]]):
+    """Fixed-width Figure 7 sort keys of the block groups, one column each.
+
+    The key of group ``g`` is the flattened tuple ``(w, *invoker key,
+    w', *invoker key', ...)`` of ``g`` and then of up to
+    :data:`~repro.core.reorder.MAX_KEY_DEPTH` groups reached through
+    ``nxt``.  ``invoker[g]`` indexes ``inv_keys`` (-1 when the block has
+    no in-phase invoker, whose key is ``(-1,)``).  Row ``j`` of the
+    result holds element ``j`` of every key, padded with
+    :data:`KEY_PAD`, so comparing columns element by element is python
+    tuple comparison, also when invoker keys differ in length.  Key
+    elements must be integers (``operator.index``); anything else raises
+    instead of being truncated.
+    """
+    width = max(map(len, inv_keys), default=1)
+    table = np.full((len(inv_keys) + 1, width), KEY_PAD, np.int64)
+    for c, key in enumerate(inv_keys):
+        table[c, :len(key)] = [operator.index(v) for v in key]
+    table[-1, 0] = -1
+    lens = np.fromiter(map(len, inv_keys), np.int64, len(inv_keys))
+    lens = np.r_[lens, 1]
+    keys = np.full(((MAX_KEY_DEPTH + 1) * (1 + width), len(w)), KEY_PAD,
+                   np.int64)
+    rows = np.arange(len(w), dtype=np.int64)
+    cur = rows
+    col = np.zeros(len(w), np.int64)
+    used = 0
+    for hop in range(MAX_KEY_DEPTH + 1):
+        keys[col, rows] = w[cur]
+        inv = invoker[cur]
+        klen = lens[inv]
+        for j in range(width):
+            has = klen > j
+            keys[col[has] + 1 + j, rows[has]] = table[inv[has], j]
+        col = col + 1 + klen
+        used = max(used, int(col.max()))
+        step = nxt[cur]
+        live = step >= 0
+        if hop == MAX_KEY_DEPTH or not live.any():
+            break
+        rows, cur, col = rows[live], step[live], col[live]
+    return keys[:used]
 
 
-def task_order_columnar(cols: TraceColumns, ordered, block_of_event,
-                        inv_keys: List[Tuple]) -> Dict[int, List[int]]:
-    """Vectorized :func:`repro.core.reorder.reordered_order_task`.
+def _block_groups(cols: TraceColumns, ordered, phase, block_of_event):
+    """The (phase, serial block) groups of ``ordered`` and their key inputs.
 
-    Produces the same per-chare lists in the same dict order.
-    ``inv_keys[c]`` is the invoker tie-break tuple for chare ``c`` —
-    ``(chare.id,)`` for ``tie_break="chare_id"`` or the array index for
-    ``"index"`` — matching ``invoker_key``.  The recursive ``block_key``
-    tuple flattens into a chain walk: each hop appends the hopped-to
-    block's ``(w of first event, invoker key)`` pair, up to
-    :data:`~repro.core.reorder.MAX_KEY_DEPTH` hops.
+    Returns ``(gperm, gstarts, block, w, nxt, invoker)``: the positions
+    grouped, each group in (time, id) order; where each group starts;
+    and per group its block, the w clock of its first event, the group
+    its key chain hops to, and the chare of its trigger send (-1 for
+    none).  The w clock is the depth of the replay forest: an event's
+    parent is its matched send when that is in the same phase and
+    earlier, else the previous event of its group.  The chain hops to
+    the group of the trigger send (an in-phase send, so always in the
+    phase) when that is another group.
     """
     n = len(ordered)
-    if n == 0:
-        return {}
-    depth = _w_depth(cols, ordered, block_of_event)
-    trigger = trigger_send_array(cols, ordered)
     block = block_of_event[ordered]
-    order = np.argsort(block, kind="stable")
-    bsorted = block[order]
-    starts = np.flatnonzero(np.r_[True, bsorted[1:] != bsorted[:-1]])
-    ends = np.r_[starts[1:], n]
-    ev_sorted = ordered[order].tolist()  # per-block groups, (time, id) order
-    firstpos = order[starts]  # position in ``ordered`` of each block's first
-    g_block = bsorted[starts]
-    ng = len(g_block)
-    g_w = depth[firstpos]
-    g_send = trigger[firstpos]
-    valid = g_send >= 0
-    send_clip = np.clip(g_send, 0, None)
-    g_src = np.where(valid, block_of_event[send_clip], -1)
-    g_inv_chare = np.where(valid, cols.ev_chare[send_clip], -1)
-    # Next block of the key chain: the trigger sender's block when it is a
-    # different block (an in-phase send's block is always in the phase, so
-    # the python path's membership check is vacuous here).
-    src_gi = np.searchsorted(g_block, np.clip(g_src, int(g_block[0]), None))
-    nxt = np.where(valid & (g_src != g_block), src_gi, -1)
+    gperm = np.lexsort((block, phase))
+    gnew = _new_group(phase[gperm], block[gperm])
+    gstarts = np.flatnonzero(gnew)
+    firstpos = gperm[gstarts]
+    group = np.empty(n, np.int64)
+    group[gperm] = np.cumsum(gnew) - 1
 
-    first_ev = ordered[firstpos]
-    g_time = cols.ev_time[first_ev].tolist()
-    g_chare = cols.ev_chare[first_ev].tolist()
-    w_l = g_w.tolist()
-    nxt_l = nxt.tolist()
-    block_l = g_block.tolist()
-    none_key = (-1,)
-    inv_l = [inv_keys[c] if c >= 0 else none_key
-             for c in g_inv_chare.tolist()]
-    keys: List[Tuple] = []
-    for gi in range(ng):
-        parts = [w_l[gi]]
-        parts.extend(inv_l[gi])
-        cur = gi
-        hops = 0
-        while hops < MAX_KEY_DEPTH and nxt_l[cur] >= 0:
-            cur = nxt_l[cur]
-            hops += 1
-            parts.append(w_l[cur])
-            parts.extend(inv_l[cur])
-        keys.append(tuple(parts))
+    prev = np.full(n, -1, np.int64)
+    inner = np.flatnonzero(~gnew)
+    prev[gperm[inner]] = gperm[inner - 1]
+    send = _in_phase_send(cols, ordered, phase)
+    earlier = (send >= 0) & (send < np.arange(n))
+    w = _forest_depth(np.where(earlier, send, prev))
 
-    # Chares keyed in block first-occurrence order — the insertion order
-    # of the python implementation's blocks_by_chare dict.
-    perm = np.argsort(firstpos).tolist()
-    blocks_by_chare: Dict[int, List[int]] = {}
-    for gi in perm:
-        blocks_by_chare.setdefault(g_chare[gi], []).append(gi)
-    starts_l = starts.tolist()
-    ends_l = ends.tolist()
-    out: Dict[int, List[int]] = {}
-    for chare, glist in blocks_by_chare.items():
-        glist.sort(key=lambda gi: (keys[gi], g_time[gi], block_l[gi]))
-        chunk: List[int] = []
-        for gi in glist:
-            chunk.extend(ev_sorted[starts_l[gi]:ends_l[gi]])
-        out[chare] = chunk
-    return out
+    g_send = send[firstpos]
+    has_send = g_send >= 0
+    sender = np.clip(g_send, 0, None)
+    g_src = np.where(has_send, group[sender], -1)
+    nxt = np.where(has_send & (g_src != np.arange(len(gstarts))), g_src, -1)
+    invoker = np.where(has_send, cols.ev_chare[ordered[sender]], -1)
+    return gperm, gstarts, block[firstpos], w[firstpos], nxt, invoker
 
 
-def local_steps_columnar(cols: TraceColumns, chare_orders: Dict[int, List[int]]):
-    """Vectorized :func:`repro.core.stepping.assign_local_steps`.
+def task_orders(cols: TraceColumns, phase_events: Sequence[Sequence[int]],
+                block_of_event,
+                inv_keys: Sequence[Tuple[int, ...]]) -> PhaseOrders:
+    """Vectorized :func:`repro.core.reorder.reordered_order_task`, every phase.
 
-    Iterates chain relaxation (segmented running max over the per-chare
-    orders) and receive relaxation (``step[recv] >= step[send] + 1``) to
-    the least fixed point, which equals the Kahn longest path.  Returns
-    ``(events, steps, max_step)`` or ``None`` when the phase needs the
-    python fallback (suspected cycle or overly deep message chains).
+    ``inv_keys[c]`` is the invoker tie-break tuple for chare ``c``:
+    ``(chare.id,)`` for ``tie_break="chare_id"``, or the array index for
+    ``"index"``, matching ``invoker_key``.  One ``np.lexsort`` orders
+    the serial-block groups of every phase (:func:`_block_groups`): by
+    (phase, chare), then the Figure 7 key (:func:`_block_keys`), then
+    the first event's time, then the block id.
     """
-    lists = [lst for lst in chare_orders.values() if lst]
-    total = sum(len(lst) for lst in lists)
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64), -1
-    concat = np.fromiter((ev for lst in lists for ev in lst), np.int64, total)
-    lens = np.fromiter((len(lst) for lst in lists), np.int64, len(lists))
-    seg = np.repeat(np.arange(len(lists), dtype=np.int64), lens)
-    pos = np.arange(total, dtype=np.int64)
-    lookup = np.full(cols.n_events, -1, np.int64)
-    lookup[concat] = pos
-    partner = cols.partner_send[concat]
-    valid = (cols.ev_kind[concat] == int(EventKind.RECV)) & (partner >= 0)
-    partner_pos = np.where(valid, lookup[np.clip(partner, 0, None)], -1)
-    recv_idx = np.flatnonzero(partner_pos >= 0)
-    send_idx = partner_pos[recv_idx]
-    # Segment isolation: per-segment offsets dominate the value range so a
-    # single global running max never leaks across chare orders.
-    base = seg * np.int64(2 * total + 4)
-    shift = base - pos
+    ordered, phase = _phase_positions(cols, phase_events)
+    n = len(ordered)
+    if not n:
+        return _no_orders()
+    gperm, gstarts, g_block, g_w, nxt, invoker = _block_groups(
+        cols, ordered, phase, block_of_event)
+    keys = _block_keys(g_w, invoker, nxt, inv_keys)
+    first = ordered[gperm[gstarts]]
+    chare = cols.ev_chare[ordered]
+    sg = np.lexsort((g_block, cols.ev_time[first]) + tuple(keys[::-1])
+                    + (cols.ev_chare[first], phase[gperm[gstarts]]))
+    glens = np.diff(np.r_[gstarts, n])
+    return _layout(ordered, gperm[_ranges(gstarts[sg], glens[sg])], phase,
+                   chare)
+
+
+def local_steps(cols: TraceColumns, orders: PhaseOrders,
+                         n_phases: int):
+    """Vectorized :func:`repro.core.stepping.assign_local_steps`, every phase.
+
+    Iterates chain relaxation (a segmented running max over the orders)
+    and receive relaxation (``step[recv] >= step[send] + 1`` for a send
+    in the same phase) to the least fixed point, which equals the Kahn
+    longest path.  Phases leave the iteration on their own: a phase
+    settles in the first round that leaves it unchanged, and is handed
+    back when its largest step exceeds its event count (a dependency
+    cycle) or when :data:`MAX_STEP_ROUNDS` rounds do not settle it.
+
+    Returns ``(steps, max_step, unsettled)``: the step of every event of
+    ``orders.events``, the largest step of every phase (-1 for an empty
+    one), and the indices of the handed-back phases, which need the
+    python implementation (their entries in the first two are void).
+    """
+    events = orders.events
+    total = len(events)
+    max_step = np.full(n_phases, -1, np.int64)
+    if not total:
+        return np.empty(0, np.int64), max_step, []
+    seg = np.repeat(np.arange(len(orders.phase), dtype=np.int64),
+                    np.diff(orders.starts))
+    phase = orders.phase[seg]
+    send = _in_phase_send(cols, events, phase)
+    recv_idx = np.flatnonzero(send >= 0)
+    send_idx = send[recv_idx]
+    pstart = np.flatnonzero(_new_group(phase))
+    psize = np.diff(np.r_[pstart, total])
+    pid = phase[pstart]
+    all_pstart, all_pid = pstart, pid
+    # Segment isolation: a live step never exceeds its phase's event
+    # count (a phase leaves once it does), so per-segment offsets of
+    # 2*total+4 dominate every value and one running max over the whole
+    # array never leaks from one order into the next.
+    span = np.int64(2 * total + 4)
+    final = np.zeros(total, np.int64)
+    live = np.arange(total, dtype=np.int64)
     steps = np.zeros(total, np.int64)
+    shift = seg * span - live
+    unsettled = []
     for _ in range(MAX_STEP_ROUNDS):
         relaxed = np.maximum.accumulate(steps + shift) - shift
         if len(recv_idx):
             np.maximum.at(relaxed, recv_idx, relaxed[send_idx] + 1)
-        if np.array_equal(relaxed, steps):
-            return concat, steps, int(steps.max())
+        moved = np.logical_or.reduceat(relaxed != steps, pstart)
         steps = relaxed
-        if int(steps.max()) > total:
-            return None  # growing without bound: dependency cycle
-    return None
+        cyclic = moved & (np.maximum.reduceat(steps, pstart) > psize)
+        unsettled.append(pid[cyclic])
+        keep = moved & ~cyclic
+        if keep.all():
+            continue
+        settled = np.repeat(~moved, psize)
+        final[live[settled]] = steps[settled]
+        stay = np.repeat(keep, psize)
+        renum = np.cumsum(stay) - 1
+        pair = stay[recv_idx]
+        recv_idx = renum[recv_idx[pair]]
+        send_idx = renum[send_idx[pair]]
+        live, steps, seg = live[stay], steps[stay], seg[stay]
+        shift = seg * span - np.arange(len(live), dtype=np.int64)
+        psize, pid = psize[keep], pid[keep]
+        pstart = np.r_[0, np.cumsum(psize)[:-1]]
+        if not len(live):
+            break
+    unsettled.append(pid)  # still moving after MAX_STEP_ROUNDS rounds
+    max_step[all_pid] = np.maximum.reduceat(final, all_pstart)
+    return final, max_step, sorted(np.concatenate(unsettled).tolist())
 
 
 def compute_leaps_columnar(state: ColumnarPartitionState) -> Dict[int, int]:

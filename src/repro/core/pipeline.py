@@ -613,42 +613,42 @@ def extract_logical_structure(
 
     def _local_steps_columnar(ctx: dict) -> None:
         trace_, initial, state = ctx["trace"], ctx["initial"], ctx["state"]
+        phases = ctx["phases"]
         cols = TraceColumns.of(trace_)
-        block_table = getattr(state, "block_table", None)
-        boe_arr = (block_table.block_of_event if block_table is not None
-                   else np.asarray(initial.block_of_event, np.int64))
+        phase_events = [phase.events for phase in phases]
+        if opts.order == "physical":
+            orders = columnar.physical_orders(cols, phase_events)
+        elif mode == "mpi":
+            orders = columnar.message_passing_orders(cols, phase_events)
+        else:
+            block_table = getattr(state, "block_table", None)
+            boe_arr = (block_table.block_of_event if block_table is not None
+                       else np.asarray(initial.block_of_event, np.int64))
+            by_index = opts.tie_break == "index"
+            inv_keys = [tuple(c.index) if by_index and c.index else (c.id,)
+                        for c in trace_.chares]
+            orders = columnar.task_orders(cols, phase_events, boe_arr,
+                                          inv_keys)
+        steps, max_steps, unsettled = columnar.local_steps(
+            cols, orders, len(phases))
         local_arr = np.full(len(trace_.events), -1, np.int64)
-        chare_orders: Dict[Tuple[int, int], List[int]] = {}
-        if opts.order != "physical" and mode != "mpi":
-            if opts.tie_break == "index":
-                inv_keys = [tuple(c.index) if c.index else (c.id,)
-                            for c in trace_.chares]
-            else:
-                inv_keys = [(c.id,) for c in trace_.chares]
-        for phase in ctx["phases"]:
-            ordered_np = columnar.sorted_phase_events(cols, phase.events)
-            if opts.order == "physical":
-                orders = columnar.physical_order_columnar(cols, ordered_np)
-            elif mode == "mpi":
-                orders = reordered_order_mp(
-                    trace_, phase.events, initial.block_of_event,
-                    _ordered=ordered_np.tolist(), _columns=cols,
-                )
-            else:
-                orders = columnar.task_order_columnar(
-                    cols, ordered_np, boe_arr, inv_keys
-                )
-            for chare, order in orders.items():
-                chare_orders[(phase.id, chare)] = order
-            result = columnar.local_steps_columnar(cols, orders)
-            if result is None:  # suspected cycle: python reference fallback
-                steps, max_s = assign_local_steps(trace_, phase.events, orders)
-                for ev, s in steps.items():
-                    local_arr[ev] = s
-            else:
-                step_events, step_values, max_s = result
-                local_arr[step_events] = step_values
+        local_arr[orders.events] = steps
+        lists = orders.lists()
+        chare_orders: Dict[Tuple[int, int], List[int]] = {
+            (phases[p].id, chare): order
+            for p, chare, order in zip(orders.phase.tolist(),
+                                       orders.chare.tolist(), lists)
+        }
+        for phase, max_s in zip(phases, max_steps.tolist()):
             phase.max_local_step = max_s
+        for p in unsettled:  # suspected cycle: python reference fallback
+            phase = phases[p]
+            lo, hi = np.searchsorted(orders.phase, [p, p + 1]).tolist()
+            per_chare = dict(zip(orders.chare[lo:hi].tolist(), lists[lo:hi]))
+            py_steps, phase.max_local_step = assign_local_steps(
+                trace_, phase.events, per_chare)
+            for ev, s in py_steps.items():
+                local_arr[ev] = s
         ctx["local_step"] = local_arr.tolist()
         ctx["local_arr"] = local_arr
         ctx["chare_orders"] = chare_orders

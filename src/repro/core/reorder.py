@@ -18,13 +18,16 @@ The message-passing variant pins sends — ``w_send = 1 + max`` over the
 receives that physically preceded it — and lets receives reorder around
 them (Figure 9): a stable sort by ``w`` can pull a late receive in front
 of a send but can never push a receive behind one.
+
+These functions order one phase at a time and are the python reference.
+The columnar backend orders every phase of a trace in one pass
+(:mod:`repro.core.columnar`), bit-identical to them, ``chare_orders``
+insertion order included.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from repro.trace.events import NO_ID, EventKind
 from repro.trace.model import Trace
@@ -81,9 +84,6 @@ def reordered_order_task(
     phase_events: Sequence[int],
     block_of_event: Sequence[int],
     tie_break: str = "chare_id",
-    _w: Optional[Dict[int, int]] = None,
-    _ordered: Optional[List[int]] = None,
-    _trigger: Optional[Dict[int, int]] = None,
 ) -> Dict[int, List[int]]:
     """Per-chare order for the task (Charm++) model: sort serial blocks.
 
@@ -92,31 +92,21 @@ def reordered_order_task(
     chare's array index, the topology-aware ordering the paper suggests
     for domain-decomposed applications ("an ordering that takes this data
     topology into account will likely be more intuitive").
-
-    ``_w``, ``_ordered`` and ``_trigger`` are bit-identical precomputed
-    inputs supplied by the columnar backend (``repro.core.columnar``):
-    the w clock, the (time, id)-sorted event list, and the matched
-    in-phase send per event.
     """
     if tie_break not in ("chare_id", "index"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
     events = trace.events
     in_phase = set(phase_events)
-    if _ordered is None:
-        _ordered = sorted(phase_events, key=lambda e: (events[e].time, e))
-    w = _w if _w is not None else _assign_w(trace, phase_events, in_phase,
-                                            block_of_event)
+    w = _assign_w(trace, phase_events, in_phase, block_of_event)
 
     # Group the phase's events by serial block, preserving time order.
     block_events: Dict[int, List[int]] = {}
-    for ev in _ordered:
+    for ev in sorted(phase_events, key=lambda e: (events[e].time, e)):
         block_events.setdefault(block_of_event[ev], []).append(ev)
 
     def trigger_send(block_id: int) -> int:
         """The in-phase send that invoked this block's first event, if any."""
         first = block_events[block_id][0]
-        if _trigger is not None:
-            return _trigger[first]
         if events[first].kind != EventKind.RECV:
             return NO_ID
         mid = trace.message_by_recv[first]
@@ -177,39 +167,23 @@ def reordered_order_mp(
     trace: Trace,
     phase_events: Sequence[int],
     block_of_event: Sequence[int],
-    _ordered: Optional[List[int]] = None,
-    _columns=None,
 ) -> Dict[int, List[int]]:
     """Per-process order for the message-passing model: pinned sends.
 
     ``w_send = 1 + max(w_receive | receive physically precedes send)``, so
     a stable sort by ``w`` keeps every send after the receives that came
     before it, while receives are free to reorder (Figure 9).
-
-    ``_ordered`` is the (time, id)-sorted event list and ``_columns``
-    the trace's :class:`~repro.trace.columns.TraceColumns` when the
-    caller has them (columnar backend): kinds, chares and message
-    partners are then gathered from the columns instead of event
-    records.  The send w depends on a running max over earlier
-    receives, so the clock itself stays a replay loop.
     """
     events = trace.events
-    ordered = (_ordered if _ordered is not None
-               else sorted(phase_events, key=lambda e: (events[e].time, e)))
-    if _columns is not None:
-        idx = np.asarray(ordered, np.int64)
-        kinds = _columns.ev_kind[idx].tolist()
-        chares = _columns.ev_chare[idx].tolist()
-        partners = _columns.partner_send[idx].tolist()
-    else:
-        recs = [events[ev] for ev in ordered]
-        kinds = [rec.kind for rec in recs]
-        chares = [rec.chare for rec in recs]
-        partners = []
-        for ev in ordered:
-            mid = trace.message_by_recv[ev]
-            partners.append(trace.messages[mid].send_event
-                            if mid != NO_ID else NO_ID)
+    ordered = sorted(phase_events, key=lambda e: (events[e].time, e))
+    recs = [events[ev] for ev in ordered]
+    kinds = [rec.kind for rec in recs]
+    chares = [rec.chare for rec in recs]
+    partners = []
+    for ev in ordered:
+        mid = trace.message_by_recv[ev]
+        partners.append(trace.messages[mid].send_event
+                        if mid != NO_ID else NO_ID)
     w: Dict[int, int] = {}
     max_recv_w: Dict[int, int] = {}  # chare -> max w over receives so far
     for ev, kind, chare, send in zip(ordered, kinds, chares, partners):

@@ -7,7 +7,8 @@ columnar kernels go out of their way to replay the python
 implementation's insertion and tie-break orders, and the batched
 union-find kernel replays the sequential union-by-size decision stream;
 this is the test that holds them to it, including on the fault corpus
-under ingestion repair.
+under ingestion repair, and holds the one-pass step kernel to the python
+per-phase reference down to ``chare_orders`` insertion order.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ from repro.apps import (
     pdes,
     sssp,
 )
+from repro.core import columnar, pipeline
 from repro.trace.faults import FAULT_KINDS, inject_fault
+
+pytestmark = pytest.mark.stepping
 
 #: The accepted names of the non-reference backend ("columnar_batched" is
 #: a legacy alias); each must be bit-identical to "python".
@@ -79,6 +83,71 @@ def test_backends_bit_identical_under_options(overrides, backend):
     col = extract(trace, PipelineOptions(backend=backend), **overrides)
     assert py.step_of_event == col.step_of_event
     assert py.phase_of_event == col.phase_of_event
+
+
+# ---------------------------------------------------------------------------
+# Step assignment: the one-pass columnar kernel against the per-phase python
+# reference, down to the insertion order of ``chare_orders``.
+# ---------------------------------------------------------------------------
+MPI_APPS = {
+    "lulesh_mpi": lambda: lulesh.run_mpi(ranks=8, iterations=2, seed=3),
+    "lassen_mpi": lambda: lassen.run_mpi(ranks=8, iterations=2, seed=3),
+}
+
+STEP_VARIANTS = {
+    "default": {},
+    "physical": {"order": "physical"},
+    "index": {"tie_break": "index"},
+    "no_infer": {"infer": False},
+}
+
+
+def _step_bits(structure):
+    """Every output of step assignment, as plain comparable data."""
+    return (
+        list(structure.step_of_event),
+        list(structure.local_step_of_event),
+        list(structure.chare_orders.items()),
+        [(p.id, p.max_local_step, p.offset) for p in structure.phases],
+    )
+
+
+@pytest.mark.parametrize("variant", sorted(STEP_VARIANTS))
+@pytest.mark.parametrize("app", sorted(APPS) + sorted(MPI_APPS))
+def test_step_assignment_bit_identical(app, variant):
+    trace = {**APPS, **MPI_APPS}[app]()
+    options = STEP_VARIANTS[variant]
+    py = extract(trace, PipelineOptions(backend="python"), **options)
+    stats = PipelineStats()
+    col = extract(trace, PipelineOptions(backend="columnar"), stats=stats,
+                  **options)
+    assert stats.stage_backends["local_steps"] == "columnar"
+    assert _step_bits(col) == _step_bits(py)
+
+
+#: Phases the step kernel hands to ``assign_local_steps`` when it may run
+#: only three rounds: the ones whose fixed point needs more.
+FALLBACK_PHASES = {"lulesh": 3, "lassen": 3, "jacobi2d": 2, "mergetree": 0}
+
+
+@pytest.mark.parametrize("app", sorted(FALLBACK_PHASES))
+def test_unsettled_phases_fall_back_one_at_a_time(app, monkeypatch):
+    trace = APPS[app]()
+    py = extract(trace, PipelineOptions(backend="python"))
+    monkeypatch.setattr(columnar, "MAX_STEP_ROUNDS", 3)
+    sent = []
+    reference = pipeline.assign_local_steps
+
+    def counting(trace_, phase_events, chare_orders):
+        sent.append(len(phase_events))
+        return reference(trace_, phase_events, chare_orders)
+
+    monkeypatch.setattr(pipeline, "assign_local_steps", counting)
+    stats = PipelineStats()
+    col = extract(trace, PipelineOptions(backend="columnar"), stats=stats)
+    assert stats.stage_backends["local_steps"] == "columnar"
+    assert len(sent) == FALLBACK_PHASES[app]
+    assert _step_bits(col) == _step_bits(py)
 
 
 # ---------------------------------------------------------------------------

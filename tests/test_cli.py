@@ -1,6 +1,9 @@
 """CLI smoke tests (in-process via repro.cli.main)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -143,3 +146,42 @@ def test_cli_html_export(trace_file, tmp_path):
     text = html.read_text()
     assert text.startswith("<!DOCTYPE html>")
     assert "<svg" in text and "Performance report" in text
+
+
+#: Every subcommand that reads a trace, with the arguments it needs after
+#: the trace path (``diff`` reads two and gets the bad one second).
+TRACE_COMMANDS = {
+    "analyze": [], "profile": [], "cluster": [], "report": [], "diff": [],
+    "validate": [], "verify": [], "faults": ["--kind", "drop_messages"],
+    "sync": ["-o", "synced.jsonl"],
+}
+
+
+@pytest.mark.parametrize("damage", ["missing", "malformed"])
+@pytest.mark.parametrize("command", sorted(TRACE_COMMANDS))
+def test_unreadable_trace_is_a_usage_error(command, damage, trace_file,
+                                           tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    if damage == "malformed":
+        bad.write_text("garbage\n")
+    paths = [str(trace_file), str(bad)] if command == "diff" else [str(bad)]
+    extra = [str(tmp_path / a) if a.endswith(".jsonl") else a
+             for a in TRACE_COMMANDS[command]]
+    assert main([command] + paths + extra) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert str(bad) in err and "Traceback" not in err
+
+
+def test_unreadable_trace_exits_2_without_traceback(tmp_path):
+    missing = tmp_path / "missing.jsonl"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [os.environ.get("PYTHONPATH")]
+                                  if p]))
+    proc = subprocess.run([sys.executable, "-m", "repro", "analyze",
+                           str(missing)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"repro analyze: cannot read trace {missing}: "
+                           "No such file or directory\n")

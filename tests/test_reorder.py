@@ -1,14 +1,26 @@
 """Idealized-replay reordering (Section 3.2.1, Figures 7 and 9)."""
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from repro.apps import lulesh
+from repro.core import columnar
 from repro.core.initial import build_initial
 from repro.core.reorder import (
+    MAX_KEY_DEPTH,
     _assign_w,
     physical_order,
     reordered_order_mp,
     reordered_order_task,
 )
+from repro.core.stepping import assign_local_steps
+from repro.trace.columns import TraceColumns
 from repro.trace.events import EventKind
 from tests.helpers import SyntheticTrace
+
+pytestmark = pytest.mark.stepping
 
 
 def test_physical_order_sorted_by_time():
@@ -145,3 +157,80 @@ def test_mp_send_w_counts_past_preceding_receives():
     # Verify via ordering: the send stays after the receive.
     orders = reordered_order_mp(trace, events, initial.block_of_event)
     assert [trace.events[e].kind for e in orders[p]] == [EventKind.RECV, EventKind.SEND]
+
+
+# ---------------------------------------------------------------------------
+# The columnar kernels order every phase of a trace in one pass.  Scattering
+# a trace's events over phases (blocks split across phases, messages
+# crossing them) holds each kernel to its per-phase python reference.
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("how", ["physical", "message_passing",
+                                 "task-chare_id", "task-index"])
+def test_one_pass_orders_match_the_per_phase_reference(how):
+    trace = lulesh.run_charm(chares=8, pes=4, iterations=2, seed=3)
+    initial = build_initial(trace, mode="charm")
+    phases = [[e for e in range(len(trace.events)) if e * 7 % 5 == p]
+              for p in range(5)]
+    cols = TraceColumns.of(trace)
+    if how == "physical":
+        orders = columnar.physical_orders(cols, phases)
+        expected = [physical_order(trace, evs) for evs in phases]
+    elif how == "message_passing":
+        orders = columnar.message_passing_orders(cols, phases)
+        expected = [reordered_order_mp(trace, evs, initial.block_of_event)
+                    for evs in phases]
+    else:
+        tie_break = how.split("-")[1]
+        inv_keys = [tuple(c.index) if tie_break == "index" and c.index
+                    else (c.id,) for c in trace.chares]
+        orders = columnar.task_orders(
+            cols, phases, np.asarray(initial.block_of_event, np.int64),
+            inv_keys)
+        expected = [reordered_order_task(trace, evs, initial.block_of_event,
+                                         tie_break=tie_break)
+                    for evs in phases]
+    assert list(zip(orders.phase.tolist(), orders.chare.tolist(),
+                    orders.lists())) == [
+        (p, chare, order) for p, per_chare in enumerate(expected)
+        for chare, order in per_chare.items()]
+
+    steps, max_step, unsettled = columnar.local_steps(
+        cols, orders, len(phases))
+    step_of = dict(zip(orders.events.tolist(), steps.tolist()))
+    settled = [p for p in range(len(phases)) if p not in unsettled]
+    assert len(settled) >= 3
+    for p in settled:
+        want, want_max = assign_local_steps(trace, phases[p], expected[p])
+        assert {ev: step_of[ev] for ev in phases[p]} == want
+        assert max_step[p] == want_max
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_block_keys_sort_like_python_tuples(data):
+    """Padded key rows order groups exactly as the flattened Figure 7 key
+    tuples do, prefixes included (index keys differ in length)."""
+    inv_keys = data.draw(hst.lists(
+        hst.lists(hst.integers(0, 2), min_size=1, max_size=3).map(tuple),
+        min_size=1, max_size=4))
+    n = data.draw(hst.integers(1, 10))
+    w = data.draw(hst.lists(hst.integers(0, 2), min_size=n, max_size=n))
+    invoker = data.draw(hst.lists(hst.integers(-1, len(inv_keys) - 1),
+                                 min_size=n, max_size=n))
+    nxt = [j if j != i else -1 for i, j in enumerate(data.draw(
+        hst.lists(hst.integers(-1, n - 1), min_size=n, max_size=n)))]
+
+    def flat_key(g):
+        parts, hops = [], 0
+        while True:
+            parts += [w[g], *(inv_keys[invoker[g]] if invoker[g] >= 0
+                              else (-1,))]
+            if hops == MAX_KEY_DEPTH or nxt[g] < 0:
+                return tuple(parts)
+            g, hops = nxt[g], hops + 1
+
+    keys = columnar._block_keys(np.array(w, np.int64),
+                                np.array(invoker, np.int64),
+                                np.array(nxt, np.int64), inv_keys)
+    assert np.lexsort(keys[::-1]).tolist() == sorted(
+        range(n), key=lambda g: (flat_key(g), g))
