@@ -32,6 +32,7 @@ import gc
 import json
 import os
 import shutil
+import statistics
 import sys
 import tempfile
 import threading
@@ -62,6 +63,8 @@ CHARES_QUICK = [8, 27]
 #: PEs pushes the same lulesh workload past 10^6 events.
 MILLION_CHARES = 4913
 MILLION_PES = 64
+#: Hardened configurations whose overhead over the default is measured.
+HARDENED_MODES = ("warn", "fallback", "checkpoint")
 
 _TYPES = {
     "object": dict,
@@ -150,6 +153,14 @@ class _RssSampler:
         self._sample()
 
 
+def _median_iqr(values: List[float]) -> tuple:
+    """Median of a sample and its interquartile range ``[q1, q3]``."""
+    if len(values) < 2:
+        return values[0], [values[0], values[0]]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, [q1, q3]
+
+
 def _timed_extract(trace, options: PipelineOptions):
     """One pipeline run; returns (structure, stats, wall_seconds, peak_mb)."""
     stats = PipelineStats()
@@ -182,6 +193,7 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
     iterations = ITERATIONS_QUICK if quick else ITERATIONS_FULL
     chare_counts = CHARES_QUICK if quick else CHARES_FULL
     rounds = 1 if quick else 3
+    overhead_pairs = 3 if quick else 7
 
     def say(msg: str) -> None:
         if verbose:
@@ -330,68 +342,68 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
             f"peak {peak} MiB (limit {max_mb} MiB) -> "
             f"{'ok' if million_budget['within_budget'] else 'EXCEEDED'}")
 
-    # Repair overhead: the warn-mode defect scan is the per-trace cost a
-    # campaign pays for ingestion hardening on clean inputs (fix mode on
-    # a clean trace runs the identical detect-only path).
-    ro_timings = {}
-    for repair in ("off", "warn"):
-        repair_opts = PipelineOptions(repair=repair)
-        best = None
-        for _ in range(rounds):
-            _, _, seconds, _peak = _timed_extract(ab_trace, repair_opts)
-            best = seconds if best is None else min(best, seconds)
-        ro_timings[repair] = best
-    ro_overhead = (ro_timings["warn"] / ro_timings["off"]
-                   if ro_timings["off"] > 0 else 1.0)
-    say(f"repair overhead @ {largest} chares: off={ro_timings['off']:.2f}s "
-        f"warn={ro_timings['warn']:.2f}s ({ro_overhead:.2f}x)")
+    # Hardening overheads on the fig19 workload, from interleaved pairs.
+    # A pair times one extract of the default configuration ("off":
+    # on_error="raise", no repair, no checkpoints) and one of a hardened
+    # mode back to back, alternating which of the two runs first, so each
+    # ratio divides by an "off" run taken under the same host load.  An
+    # overhead is the median of its per-pair ratios, reported with their
+    # interquartile range.  "warn" is the repair defect scan a campaign
+    # pays on clean inputs (fix mode on a clean trace runs the identical
+    # detect-only path); "fallback" takes the restore snapshots of
+    # on_error="fallback"; "checkpoint" adds atomic between-stage
+    # checkpoints to a scratch dir.  executor_fraction is the median
+    # share of an "off" run not attributed to any stage body (the
+    # harness).
+    def timed(mode: str):
+        scratch = None
+        if mode == "checkpoint":
+            scratch = tempfile.mkdtemp(prefix="bench-ckpt-")
+            mode_opts = PipelineOptions(checkpoint_dir=scratch,
+                                        on_error="fallback")
+        elif mode == "fallback":
+            mode_opts = PipelineOptions(on_error="fallback")
+        elif mode == "warn":
+            mode_opts = PipelineOptions(repair="warn")
+        else:
+            mode_opts = PipelineOptions()
+        try:
+            _, stats, seconds, _peak = _timed_extract(ab_trace, mode_opts)
+        finally:
+            if scratch is not None:
+                shutil.rmtree(scratch, ignore_errors=True)
+        return seconds, stats
 
-    # Resilience overhead: what the stage-graph executor costs on the
-    # fig19 workload.  "off" is the default configuration (on_error=
-    # "raise", no checkpoints — zero snapshotting); "fallback" takes the
-    # restore snapshots of on_error="fallback" without checkpoints;
-    # "checkpoint" adds atomic between-stage checkpoints to a scratch
-    # dir.  The acceptance target is checkpoint-off overhead within
-    # noise (executor_fraction: wall time not attributed to any stage
-    # body, i.e. the harness).
-    res_timings = {}
-    executor_fraction = 0.0
-    for mode in ("off", "fallback", "checkpoint"):
-        best = None
-        best_stats = None
-        for _ in range(rounds):
-            scratch = None
-            if mode == "checkpoint":
-                scratch = tempfile.mkdtemp(prefix="bench-ckpt-")
-                mode_opts = PipelineOptions(checkpoint_dir=scratch,
-                                            on_error="fallback")
-            elif mode == "fallback":
-                mode_opts = PipelineOptions(on_error="fallback")
-            else:
-                mode_opts = PipelineOptions()
-            try:
-                _, stats, seconds, _peak = _timed_extract(ab_trace, mode_opts)
-            finally:
-                if scratch is not None:
-                    shutil.rmtree(scratch, ignore_errors=True)
-            if best is None or seconds < best:
-                best, best_stats = seconds, stats
-        res_timings[mode] = best
-        if mode == "off" and best > 0:
-            staged = sum(best_stats.stage_seconds.values())
-            executor_fraction = max(0.0, (best - staged) / best)
-    def res_ratio(mode: str) -> float:
-        return (res_timings[mode] / res_timings["off"]
-                if res_timings["off"] > 0 else 1.0)
+    mode_seconds = {mode: [] for mode in ("off",) + HARDENED_MODES}
+    ratios = {mode: [] for mode in HARDENED_MODES}
+    executor_fractions = []
+    for k in range(overhead_pairs):
+        for mode in HARDENED_MODES:
+            order = ("off", mode) if k % 2 == 0 else (mode, "off")
+            pair = {m: timed(m) for m in order}
+            off, off_stats = pair["off"]
+            mode_seconds["off"].append(off)
+            mode_seconds[mode].append(pair[mode][0])
+            ratios[mode].append(pair[mode][0] / off if off > 0 else 1.0)
+            if off > 0:
+                staged = sum(off_stats.stage_seconds.values())
+                executor_fractions.append(max(0.0, (off - staged) / off))
+    median_seconds = {mode: _median_iqr(times)[0]
+                      for mode, times in mode_seconds.items()}
+    overheads = {mode: _median_iqr(ratios[mode]) for mode in HARDENED_MODES}
+    executor_fraction = (_median_iqr(executor_fractions)[0]
+                         if executor_fractions else 0.0)
 
-    res_overhead = res_ratio("checkpoint")
-    fallback_overhead = res_ratio("fallback")
-    say(f"resilience overhead @ {largest} chares: "
-        f"off={res_timings['off']:.2f}s "
-        f"fallback={res_timings['fallback']:.2f}s "
-        f"({fallback_overhead:.2f}x) "
-        f"checkpoint={res_timings['checkpoint']:.2f}s "
-        f"({res_overhead:.2f}x, executor {executor_fraction:.1%})")
+    def ratio_text(mode: str) -> str:
+        median, (q1, q3) = overheads[mode]
+        return (f"{mode}={median_seconds[mode]:.2f}s "
+                f"({median:.2f}x, IQR {q1:.2f}-{q3:.2f}x)")
+
+    say(f"hardening overhead @ {largest} chares, median of "
+        f"{overhead_pairs} alternating pairs: "
+        f"off={median_seconds['off']:.2f}s "
+        + " ".join(ratio_text(mode) for mode in HARDENED_MODES)
+        + f" executor {executor_fraction:.1%}")
 
     record = {
         "schema_version": 1,
@@ -421,18 +433,24 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
         "repair_overhead": {
             "chares": largest,
             "events": len(ab_trace.events),
-            "off_seconds": round(ro_timings["off"], 6),
-            "warn_seconds": round(ro_timings["warn"], 6),
-            "overhead": round(ro_overhead, 4),
+            "pairs": overhead_pairs,
+            "off_seconds": round(median_seconds["off"], 6),
+            "warn_seconds": round(median_seconds["warn"], 6),
+            "overhead": round(overheads["warn"][0], 4),
+            "overhead_iqr": [round(q, 4) for q in overheads["warn"][1]],
         },
         "resilience_overhead": {
             "chares": largest,
             "events": len(ab_trace.events),
-            "off_seconds": round(res_timings["off"], 6),
-            "fallback_seconds": round(res_timings["fallback"], 6),
-            "fallback_overhead": round(fallback_overhead, 4),
-            "checkpoint_seconds": round(res_timings["checkpoint"], 6),
-            "overhead": round(res_overhead, 4),
+            "pairs": overhead_pairs,
+            "off_seconds": round(median_seconds["off"], 6),
+            "fallback_seconds": round(median_seconds["fallback"], 6),
+            "fallback_overhead": round(overheads["fallback"][0], 4),
+            "fallback_overhead_iqr": [round(q, 4)
+                                      for q in overheads["fallback"][1]],
+            "checkpoint_seconds": round(median_seconds["checkpoint"], 6),
+            "overhead": round(overheads["checkpoint"][0], 4),
+            "overhead_iqr": [round(q, 4) for q in overheads["checkpoint"][1]],
             "executor_fraction": round(executor_fraction, 4),
         },
     }

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.batch import (
+    ArtifactStore,
     BatchExtractor,
     BatchReport,
     BatchResult,
@@ -69,7 +70,6 @@ from repro.trace.source import (
     TraceSource,
     open_trace,
 )
-from repro.serve import ArtifactStore, JobService
 from repro.trace.validate import validate_trace
 from repro.trace.writer import write_trace
 from repro.verify import (
@@ -126,6 +126,16 @@ __all__ = [
     "verify_structure",
     "write_trace",
 ]
+
+
+def __getattr__(name: str):
+    # JobService loads the HTTP service stack (asyncio, http, ssl, ...),
+    # so it is imported on first use, not by ``import repro``.
+    if name == "JobService":
+        from repro.serve import JobService
+
+        return JobService
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def extract(

@@ -9,18 +9,21 @@ table.  This module adds the batch driver behind ``repro batch``:
   file bytes for on-disk sources, or of the packed
   :class:`~repro.trace.columns.TraceColumns` rows plus the registries
   for in-memory :class:`~repro.trace.model.Trace` objects.
-* :class:`StructureCache` — maps ``(trace digest, resolved options)`` to
-  the extraction summary, in memory and optionally persisted as JSON
-  files in a cache directory so repeated campaign runs skip clean work.
-  Persistent entries are written atomically (temp file + ``os.replace``)
-  so a killed or concurrent run can never leave a torn entry behind.
-  Optional ``max_entries``/``max_bytes`` caps bound the cache with LRU
-  eviction (``repro cache --stats/--prune`` inspects and trims it).
-  With ``shard_prefix > 0`` entries are sharded into subdirectories by
-  key prefix (``ab/abcd....json``) and an optional ``max_shard_bytes``
-  quota bounds each shard independently — the layout
-  :class:`repro.serve.ArtifactStore` builds its artifact store on.
-  All operations are thread-safe (one re-entrant lock per instance) and
+* :class:`StructureCache` — the one content-keyed store of batch and
+  serve: maps ``(trace digest, resolved options)`` to the encoded bytes
+  of a result, in memory and optionally persisted as JSON files in a
+  cache directory so repeated campaign runs skip clean work.  Batch
+  stores each summary as sorted-key JSON; ``repro serve`` stores the
+  rendered analysis document.  Persistent entries are written
+  atomically (:func:`repro.chaos.fs.atomic_write`) so a killed or
+  concurrent run can never leave a torn entry behind.  Optional
+  ``max_entries``/``max_bytes`` caps bound the cache with LRU eviction
+  (``repro cache --stats/--prune`` inspects and trims it).  With
+  ``shard_prefix > 0`` entries are sharded into subdirectories by key
+  prefix (``ab/abcd....json``) and an optional ``max_shard_bytes``
+  quota bounds each shard independently — the layout of the service's
+  artifact store (:data:`ArtifactStore` opens a cache that way).  All
+  operations are thread-safe (one re-entrant lock per instance) and
   multi-process-safe (atomic writes; concurrent deletion mid-scan is
   tolerated, never raised).
 * :class:`~repro.resilience.journal.RunJournal` integration — with a
@@ -44,6 +47,7 @@ campaign bookkeeping; callers that need the full
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing as _mp
@@ -51,14 +55,13 @@ import os
 import struct
 import threading
 import time as _time
-import uuid
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mp_connection
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.chaos.fs import REAL_FS
+from repro.chaos.fs import REAL_FS, atomic_write
 from repro.core.pipeline import (
     PipelineOptions,
     PipelineStats,
@@ -176,16 +179,28 @@ def options_token(options: PipelineOptions) -> str:
     return options.result_token()
 
 
+def _check_caps(**caps: Optional[int]) -> None:
+    """Reject a store cap below 1 (``None`` leaves that axis uncapped)."""
+    for name, cap in caps.items():
+        if cap is not None and cap < 1:
+            raise ValueError(f"{name} must be >= 1 (or None)")
+
+
 class StructureCache:
-    """Maps (trace digest, resolved options) to an extraction summary.
+    """Maps (trace digest, resolved options) to a result's encoded bytes.
+
+    Each producer encodes its entry, a JSON object, once (batch its
+    sorted-key summary, ``repro serve`` the rendered document);
+    :meth:`get` returns exactly the bytes :meth:`put` was given, and
+    :meth:`put` raises :class:`TypeError` for anything but ``bytes``.
 
     In-memory always; with ``directory`` set, each entry is also written
     as ``<key>.json`` so later processes (and later campaign runs) reuse
-    it.  Writes go to a temp file in the cache directory and are moved
-    into place with :func:`os.replace`, so readers only ever see absent
-    or complete entries — never a torn one, even with concurrent writers
-    or a run killed mid-write.  Corrupt or unreadable cache files count
-    as misses.
+    it.  Writes go through :func:`~repro.chaos.fs.atomic_write`, so
+    readers only ever see absent or complete entries — never a torn
+    one, even with concurrent writers or a run killed mid-write.  A disk
+    read checks that the entry parses as a JSON object: corrupt or
+    unreadable cache files count as misses.
 
     ``max_entries``/``max_bytes`` (None = unbounded) cap the cache:
     least-recently-used entries are evicted on :meth:`put` (memory order
@@ -202,10 +217,6 @@ class StructureCache:
     (:meth:`stats`, :meth:`prune`) always cover both layouts.
     """
 
-    #: Serialize entries with sorted keys (stable diffing).  Subclasses
-    #: that must preserve payload key order byte-for-byte set it False.
-    _sort_keys = True
-
     def __init__(self, directory: Optional[Union[str, Path]] = None,
                  max_entries: Optional[int] = None,
                  max_bytes: Optional[int] = None,
@@ -216,19 +227,15 @@ class StructureCache:
         self.fs = fs if fs is not None else REAL_FS
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None)")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1 (or None)")
-        if max_shard_bytes is not None and max_shard_bytes < 1:
-            raise ValueError("max_shard_bytes must be >= 1 (or None)")
+        _check_caps(max_entries=max_entries, max_bytes=max_bytes,
+                    max_shard_bytes=max_shard_bytes)
         if shard_prefix < 0 or shard_prefix > 8:
             raise ValueError("shard_prefix must be in 0..8")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.shard_prefix = int(shard_prefix)
         self.max_shard_bytes = max_shard_bytes
-        self._memory: "OrderedDict[str, dict]" = OrderedDict()
+        self._memory: "OrderedDict[str, bytes]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -239,84 +246,72 @@ class StructureCache:
             (digest + "\n" + options_token(options)).encode()
         ).hexdigest()
 
-    def _entry_path(self, key: str) -> Path:
-        """Where ``key``'s entry file lives (shard-aware)."""
+    def _entry_paths(self, key: str) -> List[Path]:
+        """Where ``key``'s entry file may live, in read order: the
+        shard-aware path :meth:`put` writes, then (when sharded) the
+        flat path an entry written before sharding keeps."""
         assert self.directory is not None
-        if self.shard_prefix:
-            return self.directory / key[:self.shard_prefix] / f"{key}.json"
-        return self.directory / f"{key}.json"
+        flat = self.directory / f"{key}.json"
+        if not self.shard_prefix:
+            return [flat]
+        return [self.directory / key[:self.shard_prefix] / flat.name, flat]
 
-    def _read_entry(self, key: str) -> Optional[dict]:
+    @staticmethod
+    def _touch(path: Path) -> bool:
+        """Mark an entry file recently used, so pruning spares hot
+        entries; False when the file is not there."""
+        try:
+            os.utime(path)
+            return True
+        except OSError:
+            return False
+
+    def _read_entry(self, key: str) -> Optional[bytes]:
         """Load ``key`` from disk, or None (missing/corrupt/racing)."""
-        assert self.directory is not None
-        candidates = [self._entry_path(key)]
-        if self.shard_prefix:  # flat entry written before sharding
-            candidates.append(self.directory / f"{key}.json")
-        for path in candidates:
+        for path in self._entry_paths(key):
             try:
-                summary = json.loads(path.read_text())
+                data = path.read_bytes()
+                entry = json.loads(data)
             except (OSError, ValueError):
                 continue
-            if isinstance(summary, dict):
-                try:  # mark recency so pruning spares hot entries
-                    os.utime(path)
-                except OSError:
-                    pass
-                return summary
+            if isinstance(entry, dict):
+                self._touch(path)
+                return data
         return None
 
-    def get(self, key: str) -> Optional[dict]:
+    def get(self, key: str) -> Optional[bytes]:
         with self._lock:
-            summary = self._memory.get(key)
-            if summary is not None:
+            data = self._memory.get(key)
+            if data is not None:
                 self._memory.move_to_end(key)
                 if self.directory is not None:
-                    try:  # keep disk recency in step with memory recency
-                        os.utime(self._entry_path(key))
-                    except OSError:
-                        pass
-            if summary is None and self.directory is not None:
-                summary = self._read_entry(key)
-                if summary is not None:
-                    self._memory[key] = summary
-            if summary is None:
+                    # Keep disk recency in step with memory recency, on
+                    # whichever file (sharded or flat) holds the entry.
+                    for path in self._entry_paths(key):
+                        if self._touch(path):
+                            break
+            elif self.directory is not None:
+                data = self._read_entry(key)
+                if data is not None:
+                    self._memory[key] = data
+            if data is None:
                 self.misses += 1
             else:
                 self.hits += 1
-            return summary
+            return data
 
-    def put(self, key: str, summary: dict) -> None:
+    def put(self, key: str, data: bytes) -> None:
+        if not isinstance(data, bytes):
+            raise TypeError(f"StructureCache entries are encoded bytes, "
+                            f"not {type(data).__name__}")
         with self._lock:
-            self._memory[key] = summary
+            self._memory[key] = data
             self._memory.move_to_end(key)
             if self.directory is not None:
-                path = self._entry_path(key)
+                path = self._entry_paths(key)[0]
                 if self.shard_prefix:
                     path.parent.mkdir(parents=True, exist_ok=True)
-                # Unique temp name per write: concurrent writers (threads
-                # or processes) must never share one, or a replace can
-                # race a half-written file into place.
-                tmp = path.parent / (
-                    f".{key}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
-                try:
-                    # Flush + fsync before the rename: os.replace is
-                    # atomic for readers but not durable, and a crash
-                    # right after it can otherwise surface an empty
-                    # cache entry.  All four ops go through the fs seam
-                    # so injected ENOSPC/EIO/torn writes land exactly
-                    # where a real disk would fail.
-                    with self.fs.open(str(tmp), "w") as handle:
-                        handle.write(json.dumps(summary,
-                                                sort_keys=self._sort_keys))
-                        handle.flush()
-                        self.fs.fsync(handle.fileno())
-                    self.fs.replace(str(tmp), str(path))
-                finally:
-                    if tmp.exists():  # replace failed midway: don't litter
-                        try:
-                            tmp.unlink()
-                        except OSError:
-                            pass
+                atomic_write(path, (data,), self.fs)
             self._evict()
 
     # ------------------------------------------------------------------
@@ -410,12 +405,8 @@ class StructureCache:
         files: a vanished entry counts as already removed, never an
         error.
         """
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None)")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1 (or None)")
-        if max_shard_bytes is not None and max_shard_bytes < 1:
-            raise ValueError("max_shard_bytes must be >= 1 (or None)")
+        _check_caps(max_entries=max_entries, max_bytes=max_bytes,
+                    max_shard_bytes=max_shard_bytes)
         if self.directory is None:
             return 0
         with self._lock:
@@ -466,6 +457,12 @@ class StructureCache:
                         if unlink(path):
                             shard_total -= sizes.get(path, 0)
             return removed
+
+
+#: A :class:`StructureCache` opened as ``repro serve`` opens its artifact
+#: store, sharded two hex characters deep: ``ArtifactStore(dir)`` reads a
+#: service's artifact directory, which a flat ``StructureCache(dir)`` misses.
+ArtifactStore = functools.partial(StructureCache, shard_prefix=2)
 
 
 def structure_summary(structure: LogicalStructure,
@@ -813,8 +810,9 @@ class BatchExtractor:
                     if self.cache is not None:
                         key = self.cache.key(digest, self.options)
                         keys[i] = key
-                        summary = self.cache.get(key)
-                        if summary is not None:
+                        data = self.cache.get(key)
+                        if data is not None:
+                            summary = json.loads(data)
                             results[i] = BatchResult(labels[i], True, 0.0,
                                                      summary, "", True)
                             if journal is not None:
@@ -859,7 +857,8 @@ class BatchExtractor:
                                      False, attempts, timed_out)
             if (ok and self.cache is not None and i in keys
                     and not summary.get("degradation", {}).get("degraded")):
-                self.cache.put(keys[i], summary)
+                self.cache.put(keys[i],
+                               json.dumps(summary, sort_keys=True).encode())
 
         report = BatchReport(
             results=[r for r in results if r is not None],

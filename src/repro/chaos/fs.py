@@ -1,10 +1,11 @@
 """Filesystem ops seam: real passthrough, or chaos-instrumented.
 
-Durability-critical writers (:class:`repro.resilience.journal.JournalWriter`,
-:class:`repro.batch.StructureCache`, the serve upload path) take an
-``fs=`` object exposing exactly the four operations their crash-safety
-story is built on — ``open``, ``fsync``, ``replace``, ``unlink``.  The
-default :data:`REAL_FS` delegates straight to the stdlib and costs one
+Durability-critical writers (:class:`repro.resilience.journal.JournalWriter`
+and :func:`atomic_write`, which the structure cache, the serve upload
+path and pipeline checkpoints share) take an ``fs=`` object exposing
+exactly the four operations their crash-safety story is built on —
+``open``, ``fsync``, ``replace``, ``unlink``.  The default
+:data:`REAL_FS` delegates straight to the stdlib and costs one
 attribute lookup per call; a :class:`ChaosFs` bound to a
 :class:`~repro.chaos.plan.FaultPlan` consults a fault site before each
 operation, so a test can schedule ``ENOSPC`` on the third fsync of the
@@ -23,7 +24,9 @@ from __future__ import annotations
 
 import errno
 import os
-from typing import IO, TYPE_CHECKING, Any
+import uuid
+from pathlib import Path
+from typing import IO, TYPE_CHECKING, Any, Iterable, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos.plan import FaultPlan
@@ -49,6 +52,34 @@ class FsOps:
 
 #: Shared passthrough instance — the default for every ``fs=`` parameter.
 REAL_FS = FsOps()
+
+
+def atomic_write(path: Union[str, Path], chunks: Iterable[bytes],
+                 fs: FsOps = REAL_FS) -> None:
+    """Write ``chunks`` to ``path`` so readers see all of it or none.
+
+    The chunks go to a temp file beside ``path`` (one ``write`` call
+    each, a name unique per write so concurrent writers never share
+    one), flushed and fsync'd before ``fs.replace`` moves it into place:
+    ``os.replace`` is atomic but not durable.  The temp file is removed
+    if any step fails.  Every step goes through ``fs``, so injected
+    faults land exactly where a real disk would fail.
+    """
+    path = Path(path)
+    tmp = path.parent / f".{path.stem}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
+    try:
+        with fs.open(str(tmp), "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+            handle.flush()
+            fs.fsync(handle.fileno())
+        fs.replace(str(tmp), str(path))
+    finally:
+        if tmp.exists():  # a step failed before the rename: don't litter
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
 
 
 class _ChaosFile:

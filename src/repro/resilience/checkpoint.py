@@ -2,10 +2,11 @@
 
 A checkpoint is one file per (trace, options) pair under the caller's
 ``checkpoint_dir``, rewritten after every completed stage and replaced
-atomically (temp file + fsync + ``os.replace``), so a killed run leaves
-either the previous complete snapshot or the new one — never a torn
-file.  Corrupt, unreadable, version-skewed, or key-mismatched files are
-treated as "no checkpoint" and the run starts from scratch.
+atomically (:func:`repro.chaos.fs.atomic_write`: temp file + fsync +
+``os.replace``), so a killed run leaves either the previous complete
+snapshot or the new one — never a torn file.  Corrupt, unreadable,
+version-skewed, or key-mismatched files are treated as "no checkpoint"
+and the run starts from scratch.
 
 File format (``<key>.ckpt``): a pickle of the header::
 
@@ -40,11 +41,11 @@ from __future__ import annotations
 
 import hashlib
 import io
-import os
 import pickle
-import uuid
 from pathlib import Path
 from typing import IO, Any, List, Mapping, Optional, Tuple, Union
+
+from repro.chaos.fs import atomic_write
 
 CHECKPOINT_VERSION = 3
 CHECKPOINT_SUFFIX = ".ckpt"
@@ -140,20 +141,8 @@ def save_checkpoint(directory: Union[str, Path], key: str,
         "completed": list(completed),
         "outcomes": list(outcomes),
     }
-    tmp = directory / f".{key}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            pickle.dump(header, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            fh.write(ctx_pickle)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():  # replace failed midway: don't litter
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+    atomic_write(path, (pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL),
+                        ctx_pickle))
     return path
 
 

@@ -32,7 +32,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Iterator, Optional, Union
 
 from repro.chaos.fs import REAL_FS, FsOps
 
@@ -58,6 +58,36 @@ class JournalState:
         return digest in self.done
 
 
+class JournalLines:
+    """The JSON-object lines of a journal file, in order: the one
+    torn-tail reader behind :func:`read_journal` and
+    :func:`repro.serve.jobs.read_job_ledger`.  Blank lines are ignored;
+    any other line (a torn tail after ``kill -9``, interior corruption)
+    is counted in :attr:`skipped`.  A missing file yields nothing.
+    """
+
+    def __init__(self, path: Union[str, Path]) -> None:
+        self.path = Path(path)
+        self.skipped = 0
+
+    def __iter__(self) -> Iterator[dict]:
+        try:
+            raw = self.path.read_bytes()
+        except OSError:
+            return
+        for line in raw.split(b"\n"):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line.decode("utf-8"))
+            except (ValueError, UnicodeDecodeError):
+                entry = None
+            if isinstance(entry, dict):
+                yield entry
+            else:
+                self.skipped += 1
+
+
 def read_journal(path: Union[str, Path]) -> JournalState:
     """Parse a journal, tolerating a torn final line (kill -9 mid-write).
 
@@ -65,21 +95,8 @@ def read_journal(path: Union[str, Path]) -> JournalState:
     that was never created simply runs everything.
     """
     state = JournalState()
-    try:
-        raw = Path(path).read_bytes()
-    except OSError:
-        return state
-    for line in raw.split(b"\n"):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            state.corrupt_lines += 1
-            continue
-        if not isinstance(entry, dict):
-            state.corrupt_lines += 1
-            continue
+    lines = JournalLines(path)
+    for entry in lines:
         state.entries += 1
         kind = entry.get("kind")
         digest = entry.get("digest", "")
@@ -90,6 +107,7 @@ def read_journal(path: Union[str, Path]) -> JournalState:
             state.failed.pop(digest, None)
         elif kind == "fail" and digest:
             state.failed[digest] = entry
+    state.corrupt_lines = lines.skipped
     return state
 
 

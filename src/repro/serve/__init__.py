@@ -8,15 +8,16 @@ framework) and splits into:
 
 * :mod:`repro.serve.schemas` — request parsing/validation and response
   shaping for every endpoint;
-* :mod:`repro.serve.store` — :class:`ArtifactStore`, the content-keyed
-  :class:`~repro.batch.StructureCache` promoted to a sharded,
-  quota-aware artifact store holding full analysis documents;
 * :mod:`repro.serve.worker` — :func:`analyze_one`, the job body run
-  inside :class:`~repro.batch.BatchExtractor` worker processes;
+  inside :class:`~repro.batch.BatchExtractor` worker processes; it
+  renders each document once, to the bytes the artifact store keeps;
 * :mod:`repro.serve.jobs` — the crash-safe job ledger (on
   :class:`~repro.resilience.journal.JournalWriter`) and
   :class:`JobService`, the queue + worker threads + artifact store
-  behind the endpoints;
+  behind the endpoints.  The artifact store is the batch
+  :class:`~repro.batch.StructureCache`, sharded two hex characters
+  deep; :data:`~repro.batch.ArtifactStore` opens one that way, and is
+  re-exported here under its historical name;
 * :mod:`repro.serve.app` — the asyncio HTTP server itself, with
   per-connection read/write deadlines, per-request handler deadlines,
   and graceful SIGTERM/SIGINT drain;
@@ -35,6 +36,7 @@ completed.  See ``docs/API.md`` ("The extraction service") for the
 endpoint table, job lifecycle, and store layout.
 """
 
+from repro.batch import ArtifactStore
 from repro.serve.app import ExtractionApp, run_server, start_server_thread
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.client import ClientError, ServeClient
@@ -46,7 +48,6 @@ from repro.serve.jobs import (
     read_job_ledger,
 )
 from repro.serve.schemas import JOB_STATES, SchemaError, parse_options
-from repro.serve.store import ArtifactStore
 from repro.serve.worker import analyze_one
 
 __all__ = [

@@ -1,11 +1,12 @@
 """Job ledger, queue, and worker pool behind ``repro serve``.
 
 The service core is framework-free: :class:`JobService` owns the trace
-uploads, the :class:`~repro.serve.store.ArtifactStore`, a FIFO job
-queue drained by worker threads, and the **job ledger** — the batch
-journal pattern (:class:`~repro.resilience.journal.JournalWriter`)
-promoted to service duty.  Every state change appends one fsync'd JSON
-line *before* the change takes effect for clients:
+uploads, the artifact store (a sharded :class:`~repro.batch.StructureCache`
+holding each job's rendered document bytes), a FIFO job queue drained
+by worker threads, and the **job ledger** — the batch journal pattern
+(:class:`~repro.resilience.journal.JournalWriter`) promoted to service
+duty.  Every state change appends one fsync'd JSON line *before* the
+change takes effect for clients:
 
 * ``{"kind": "meta", "version": 1}`` — once per server start;
 * ``{"kind": "submit", "job", "seq", "trace", "source", "digest",
@@ -34,24 +35,22 @@ never the server).
 from __future__ import annotations
 
 import hashlib
-import os
+import json
 import queue
 import threading
 import time
-import uuid
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.batch import BatchExtractor, trace_digest
+from repro.batch import BatchExtractor, StructureCache, trace_digest
 from repro.chaos import ChaosCrash, FaultPlan
-from repro.chaos.fs import REAL_FS
-from repro.resilience.journal import JournalWriter
+from repro.chaos.fs import REAL_FS, atomic_write
+from repro.resilience.journal import JournalLines, JournalWriter
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.schemas import SchemaError, parse_options
-from repro.serve.store import ArtifactStore
 from repro.serve.worker import analyze_one, render_document
 
 LEDGER_VERSION = 1
@@ -125,22 +124,8 @@ def read_job_ledger(path: Union[str, Path]) -> "OrderedDict[str, JobRecord]":
     Jobs whose latest state is non-terminal come back as ``queued`` —
     whatever they were doing when the server died must be redone.
     """
-    import json
-
     jobs: "OrderedDict[str, JobRecord]" = OrderedDict()
-    try:
-        raw = Path(path).read_bytes()
-    except OSError:
-        return jobs
-    for line in raw.split(b"\n"):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            continue  # torn tail or interior corruption: skip the line
-        if not isinstance(entry, dict):
-            continue
+    for entry in JournalLines(path):
         kind = entry.get("kind")
         if kind == "submit":
             job_id = entry.get("job")
@@ -264,7 +249,7 @@ class JobService:
         self.chaos = chaos
         self._clock = chaos.clock if chaos is not None else time.monotonic
         self._upload_fs = chaos.fs("upload") if chaos is not None else REAL_FS
-        self.store = ArtifactStore(
+        self.store = StructureCache(
             self.data_dir / "artifacts",
             max_entries=max_entries, max_bytes=max_bytes,
             shard_prefix=shard_prefix, max_shard_bytes=max_shard_bytes,
@@ -299,7 +284,9 @@ class JobService:
             self._enter_memory_only(exc)
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         self._queued = 0  # jobs waiting (excludes stop sentinels)
-        self._docs: Dict[str, dict] = {}  # degraded results: never cached
+        # Rendered results served from memory: degraded runs (never
+        # cached) and runs whose store write failed.
+        self._docs: Dict[str, bytes] = {}
         self._threads: List[threading.Thread] = []
         self.recovered = 0
         for job in self._jobs.values():
@@ -416,21 +403,7 @@ class JobService:
         digest = hashlib.sha256(data).hexdigest()
         path = self.uploads_dir / f"{digest}.jsonl"
         if not path.exists():
-            fs = self._upload_fs
-            tmp = self.uploads_dir / (
-                f".{digest}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
-            try:
-                with fs.open(str(tmp), "wb") as handle:
-                    handle.write(data)
-                    handle.flush()
-                    fs.fsync(handle.fileno())
-                fs.replace(str(tmp), str(path))
-            finally:
-                if tmp.exists():
-                    try:
-                        tmp.unlink()
-                    except OSError:
-                        pass
+            atomic_write(path, (data,), self._upload_fs)
         return {"trace": f"{_UPLOAD_PREFIX}{digest}", "digest": digest,
                 "bytes": len(data)}
 
@@ -550,17 +523,24 @@ class JobService:
         the HTTP layer distinguishes the two from the job status.
         Degraded (partial) results are served from memory and never
         cached, so a healthier rerun can do better.
+
+        The stored bytes are the rendered document, served as they are.
+        An artifact an earlier version stored as compact JSON (it starts
+        ``{"``, a rendered document ``{`` and a newline) is rendered
+        here, so it serves the same text with no key change.
         """
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None or job.status != "done":
                 return None
-            doc = self._docs.get(job_id)
-        if doc is None:
-            doc = self.store.get(job.key)
-        if doc is None:
+            data = self._docs.get(job_id)
+        if data is None:
+            data = self.store.get(job.key)
+        if data is None:
             return None
-        return render_document(doc)
+        if data.startswith(b'{"'):
+            return render_document(json.loads(data))
+        return data.decode()
 
     def stats(self) -> dict:
         """Service occupancy and backpressure (``GET /v1/stats``)."""
@@ -651,17 +631,17 @@ class JobService:
                 crashed = (result.error.startswith("WorkerCrash")
                            or result.timed_out)
             if result is not None and result.ok:
-                doc = result.summary
+                data, degraded = result.summary
                 # Artifact first, then the durable "done" line: a crash
                 # between the two re-runs the job (idempotent), while
                 # the reverse order could journal a result that was
                 # never stored.
-                if doc.get("degradation", {}).get("degraded"):
+                if degraded:
                     with self._lock:
-                        self._docs[job.id] = doc
+                        self._docs[job.id] = data
                 else:
                     try:
-                        self.store.put(job.key, doc)
+                        self.store.put(job.key, data)
                         with self._lock:
                             # A good write proves the store recovered.
                             self._degraded.pop("artifact-store", None)
@@ -670,7 +650,7 @@ class JobService:
                         # memory, uncached, and say so in /healthz.
                         with self._lock:
                             self.store_write_failures += 1
-                            self._docs[job.id] = doc
+                            self._docs[job.id] = data
                             self._degraded["artifact-store"] = (
                                 f"artifact write failed ({exc}); serving "
                                 f"results inline without caching")

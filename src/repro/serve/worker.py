@@ -5,11 +5,12 @@
 arguments, never raises, returns ``(ok, payload, error, seconds)``), so
 it rides the existing :class:`~repro.batch.BatchExtractor` scheduler and
 inherits its per-job timeout, retries, and crash containment.  The
-payload is the full :func:`repro.report.analysis_document` — the same
-dict ``repro analyze --json`` prints — rather than the compact batch
-summary, because service clients fetch complete results, not campaign
-bookkeeping rows.  :func:`~repro.report.render_document`, the payload's
-wire rendering, is re-exported here for the job service.
+payload is the full :func:`repro.report.analysis_document` — what
+``repro analyze --json`` prints — rendered once, here, to the bytes the
+artifact store keeps and the result endpoint serves, rather than the
+compact batch summary, because service clients fetch complete results,
+not campaign bookkeeping rows.  :func:`~repro.report.render_document`
+is re-exported here for the job service.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ __all__ = ["analyze_one", "render_document"]
 
 
 def analyze_one(source, option_fields: dict):
-    """Extract one trace into a full analysis document; never raise.
+    """Extract one trace into a rendered analysis document; never raise.
 
-    Runs in :class:`~repro.batch.BatchExtractor` worker processes (hence
+    The payload is ``(document bytes, degraded)``: a degraded run's
+    document is served but never stored.  Runs in
+    :class:`~repro.batch.BatchExtractor` worker processes (hence
     module-level with picklable arguments) and serially.
     """
     t0 = _time.perf_counter()  # repro-lint: disable=DET001 reason=job timing telemetry, never keyed or cached
@@ -40,7 +43,9 @@ def analyze_one(source, option_fields: dict):
         stats = PipelineStats()
         structure = extract_logical_structure(trace, opts, stats=stats)
         doc = analysis_document(structure, stats)
-        return True, doc, "", _time.perf_counter() - t0  # repro-lint: disable=DET001 reason=job timing telemetry, never keyed or cached
+        degraded = bool(doc.get("degradation", {}).get("degraded"))
+        payload = (render_document(doc).encode(), degraded)
+        return True, payload, "", _time.perf_counter() - t0  # repro-lint: disable=DET001 reason=job timing telemetry, never keyed or cached
     except Exception as exc:  # worker isolation: report, don't propagate
         error = f"{type(exc).__name__}: {exc}"
         return False, {}, error, _time.perf_counter() - t0  # repro-lint: disable=DET001 reason=job timing telemetry, never keyed or cached

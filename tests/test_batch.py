@@ -44,6 +44,7 @@ def test_digest_content_keyed(trace_files, tmp_path):
     assert trace_digest(str(copy)) == d1
 
 
+@pytest.mark.store
 def test_cache_hit_and_miss_on_option_change(trace_files):
     cache = StructureCache()
     opts = PipelineOptions()
@@ -64,6 +65,7 @@ def test_cache_hit_and_miss_on_option_change(trace_files):
     assert all(not r.cached for r in changed.results)
 
 
+@pytest.mark.store
 def test_cache_persists_across_extractors(trace_files, tmp_path):
     cache_dir = tmp_path / "cache"
     first = BatchExtractor(
@@ -103,6 +105,7 @@ def test_parallel_matches_serial(trace_files):
                 if not k.endswith("seconds")}
 
 
+@pytest.mark.store
 def test_in_memory_traces_accepted():
     trace = jacobi2d.run(chares=(4, 4), pes=4, iterations=2, seed=1)
     cache = StructureCache()
@@ -113,18 +116,19 @@ def test_in_memory_traces_accepted():
     assert again.results[0].cached
 
 
+@pytest.mark.store
 def test_sharded_layout_reads_and_writes(tmp_path):
     """shard_prefix places entries in key-prefix subdirectories, and a
     sharded cache still reads entries a flat (legacy) cache wrote."""
     directory = tmp_path / "cache"
     flat = StructureCache(directory)  # shard_prefix=0: flat layout
-    flat.put("ab" + "0" * 62, {"phases": 1})
+    flat.put("ab" + "0" * 62, b'{"phases": 1}')
     assert (directory / ("ab" + "0" * 62 + ".json")).is_file()
 
     sharded = StructureCache(directory, shard_prefix=2)
     # Legacy flat entry is still a hit through the sharded instance.
-    assert sharded.get("ab" + "0" * 62) == {"phases": 1}
-    sharded.put("cd" + "1" * 62, {"phases": 2})
+    assert sharded.get("ab" + "0" * 62) == b'{"phases": 1}'
+    sharded.put("cd" + "1" * 62, b'{"phases": 2}')
     assert (directory / "cd" / ("cd" + "1" * 62 + ".json")).is_file()
 
     stats = sharded.stats()
@@ -133,9 +137,10 @@ def test_sharded_layout_reads_and_writes(tmp_path):
     assert stats["shards"]["cd"]["entries"] == 1
 
 
+@pytest.mark.store
 def test_per_shard_byte_quota_prunes_lru_within_shard(tmp_path):
     cache = StructureCache(tmp_path / "cache", shard_prefix=2)
-    big = {"fill": ["x" * 64] * 8}
+    big = json.dumps({"fill": ["x" * 64] * 8}).encode()
     # Three entries in shard "aa", one in shard "bb".
     keys_aa = ["aa" + f"{i}" * 62 for i in (1, 2, 3)]
     key_bb = "bb" + "4" * 62

@@ -158,7 +158,7 @@ def test_partial_cache_file_reads_as_miss(trace_file, tmp_path):
 def test_no_temp_litter_after_put(tmp_path):
     cache = StructureCache(tmp_path / "cache")
     for i in range(5):
-        cache.put(f"key{i}", {"n": i})
+        cache.put(f"key{i}", json.dumps({"n": i}).encode())
     leftover = [p for p in (tmp_path / "cache").iterdir()
                 if p.suffix != ".json"]
     assert leftover == []
@@ -168,7 +168,8 @@ def test_concurrent_writers_never_tear(tmp_path):
     # Many threads × several processes' worth of writers on one key must
     # always leave a complete, parseable entry (os.replace is atomic).
     directory = tmp_path / "cache"
-    payloads = [{"writer": i, "fill": "x" * 2000} for i in range(8)]
+    payloads = [json.dumps({"writer": i, "fill": "x" * 2000}).encode()
+                for i in range(8)]
     caches = [StructureCache(directory) for _ in payloads]
     stop = time.monotonic() + 0.5
 

@@ -1,6 +1,6 @@
 """Concurrent StructureCache stress: get/put/prune must never tear.
 
-The cache (and the serve-side ArtifactStore built on it) is hit from
+The cache (the one store class of batch and serve) is hit from
 many threads and processes at once — CLI batch runs, service worker
 threads, and a pruning `repro cache` invocation can all share one
 directory.  The invariants under fire:
@@ -19,6 +19,7 @@ Every payload carries an internal checksum so tearing is detectable:
 from __future__ import annotations
 
 import hashlib
+import json
 import multiprocessing
 import threading
 
@@ -26,19 +27,20 @@ import pytest
 
 from repro.batch import StructureCache
 
-pytestmark = pytest.mark.faults
+pytestmark = [pytest.mark.faults, pytest.mark.store]
 
 
 def _key(i: int) -> str:
     return hashlib.sha256(f"entry-{i}".encode()).hexdigest()
 
 
-def _payload(i: int) -> dict:
+def _payload(i: int) -> bytes:
     fill = [i] * 64
-    return {"entry": i, "fill": fill, "sum": sum(fill)}
+    return json.dumps({"entry": i, "fill": fill, "sum": sum(fill)}).encode()
 
 
-def _check(payload: dict) -> None:
+def _check(data: bytes) -> None:
+    payload = json.loads(data)
     assert sum(payload["fill"]) == payload["sum"], "torn cache entry served"
 
 

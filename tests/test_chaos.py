@@ -195,25 +195,25 @@ def test_journal_open_fault_is_loud_not_corrupting(tmp_path):
 def test_store_put_fault_leaves_no_torn_entry(tmp_path, site, kind):
     plan = FaultPlan(specs=[f"{site}:{kind}:at=2"])
     store = ArtifactStore(tmp_path / "a", fs=plan.fs("store"))
-    store.put("aa11", {"doc": 1})
+    store.put("aa11", b'{"doc": 1}')
 
     # Second put hits the fault at whichever op `site` names.
     plan2 = FaultPlan(specs=[f"{site}:{kind}:at=1"])
     faulty = ArtifactStore(tmp_path / "a", fs=plan2.fs("store"))
     with pytest.raises(OSError):
-        faulty.put("bb22", {"doc": 2})
+        faulty.put("bb22", b'{"doc": 2}')
 
     # A fresh reader sees the committed entry, never a torn one, and no
     # temp-file litter remains anywhere in the store.
     reader = ArtifactStore(tmp_path / "a")
-    assert reader.get("aa11") == {"doc": 1}
+    assert reader.get("aa11") == b'{"doc": 1}'
     assert reader.get("bb22") is None  # fault aborted before the rename
     leftovers = [p for p in (tmp_path / "a").rglob("*.tmp")]
     assert leftovers == []
 
     # The store recovers: the same key writes cleanly afterwards.
-    reader.put("bb22", {"doc": 2})
-    assert ArtifactStore(tmp_path / "a").get("bb22") == {"doc": 2}
+    reader.put("bb22", b'{"doc": 2}')
+    assert ArtifactStore(tmp_path / "a").get("bb22") == b'{"doc": 2}'
 
 
 def test_upload_fault_is_contained_and_retryable(tmp_path, traces):

@@ -930,13 +930,13 @@ def test_degraded_summaries_are_not_cached(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 def test_cache_entry_cap_evicts_lru(tmp_path):
     cache = StructureCache(tmp_path, max_entries=2)
-    cache.put("k1", {"v": 1})
+    cache.put("k1", b'{"v": 1}')
     time.sleep(0.01)
-    cache.put("k2", {"v": 2})
+    cache.put("k2", b'{"v": 2}')
     time.sleep(0.01)
     assert cache.get("k1") is not None  # touch k1: k2 becomes LRU
     time.sleep(0.01)
-    cache.put("k3", {"v": 3})
+    cache.put("k3", b'{"v": 3}')
     stats = cache.stats()
     assert stats["disk_entries"] == 2 and stats["evictions"] == 1
     fresh = StructureCache(tmp_path)
@@ -947,7 +947,8 @@ def test_cache_entry_cap_evicts_lru(tmp_path):
 def test_cache_byte_cap_and_prune(tmp_path):
     cache = StructureCache(tmp_path)
     for i in range(6):
-        cache.put(f"k{i}", {"payload": "x" * 100, "i": i})
+        cache.put(f"k{i}",
+                  json.dumps({"payload": "x" * 100, "i": i}).encode())
         time.sleep(0.01)
     total = cache.stats()["disk_bytes"]
     removed = cache.prune(max_bytes=total // 2)
@@ -966,21 +967,21 @@ def test_uncapped_cache_put_skips_disk_scan(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(cache, "prune",
                         lambda *a, **k: calls.append(a) or 0)
-    cache.put("k", {"v": 1})
+    cache.put("k", b'{"v": 1}')
     assert not calls
-    assert cache.get("k") == {"v": 1}
+    assert cache.get("k") == b'{"v": 1}'
     # a capped cache still prunes on put
     capped = StructureCache(tmp_path, max_entries=1)
     monkeypatch.setattr(capped, "prune",
                         lambda *a, **k: calls.append(a) or 0)
-    capped.put("k2", {"v": 2})
+    capped.put("k2", b'{"v": 2}')
     assert calls
 
 
 def test_cache_cli_stats_and_prune(tmp_path, capsys):
     cache = StructureCache(tmp_path)
     for i in range(3):
-        cache.put(f"k{i}", {"i": i})
+        cache.put(f"k{i}", json.dumps({"i": i}).encode())
         time.sleep(0.01)
     assert main(["cache", str(tmp_path), "--stats", "--json"]) == 0
     stats = json.loads(capsys.readouterr().out)
