@@ -3,8 +3,8 @@
 Durability-critical writers (:class:`repro.resilience.journal.JournalWriter`
 and :func:`atomic_write`, which the structure cache, the serve upload
 path and pipeline checkpoints share) take an ``fs=`` object exposing
-exactly the four operations their crash-safety story is built on —
-``open``, ``fsync``, ``replace``, ``unlink``.  The default
+exactly the three operations their crash-safety story is built on —
+``open``, ``fsync``, ``replace``.  The default
 :data:`REAL_FS` delegates straight to the stdlib and costs one
 attribute lookup per call; a :class:`ChaosFs` bound to a
 :class:`~repro.chaos.plan.FaultPlan` consults a fault site before each
@@ -13,11 +13,13 @@ ledger, or a torn write in the middle of an artifact-store entry, and
 then prove the recovery path — instead of hoping the disk cooperates.
 
 Site names are ``{scope}.{op}``: a ``ChaosFs(plan, "ledger")`` consults
-``ledger.open``, ``ledger.write``, ``ledger.fsync``, ``ledger.replace``
-and ``ledger.unlink``.  The ``write`` site is consulted per
+``ledger.open``, ``ledger.write``, ``ledger.fsync`` and
+``ledger.replace``.  The ``write`` site is consulted per
 ``file.write()`` call on handles opened through the seam; a ``torn``
 fault there writes a prefix of the buffer and raises ``EIO`` — the
 half-written bytes stay on disk for the reader's repair path to find.
+At ``open``, ``fsync`` and ``replace``, which write no bytes, ``torn``
+degenerates to ``EIO``.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ class FsOps:
         # The seam exists so callers can order fsync-then-replace through
         # one object; the ordering lives at the call site, not here.
         os.replace(src, dst)  # repro-lint: disable=CONC001 reason=passthrough seam; durability ordering is enforced at the call sites that use this ops object
-
-    def unlink(self, path: str) -> None:
-        os.unlink(path)
 
 
 #: Shared passthrough instance — the default for every ``fs=`` parameter.
@@ -126,8 +125,16 @@ class ChaosFs(FsOps):
         self.plan = plan
         self.scope = scope
 
+    def _trip(self, op: str) -> None:
+        """Consult ``{scope}.{op}`` at an op that writes no bytes, where a
+        ``torn`` fault degenerates to ``EIO``: nothing became durable."""
+        site = f"{self.scope}.{op}"
+        spec = self.plan.trip(site)
+        if spec is not None and spec.kind == "torn":
+            raise OSError(errno.EIO, f"chaos: {op} lost at {site}")
+
     def open(self, path: str, mode: str = "rb") -> IO[Any]:
-        self.plan.trip(self.scope + ".open")
+        self._trip("open")
         fh = open(path, mode)
         try:
             if any(flag in mode for flag in ("w", "a", "+", "x")):
@@ -140,21 +147,9 @@ class ChaosFs(FsOps):
             raise
 
     def fsync(self, fd: int) -> None:
-        spec = self.plan.trip(self.scope + ".fsync")
-        if spec is not None and spec.kind == "torn":
-            # A torn fsync is data that never became durable: surface it
-            # as the IO error the caller's recovery path must absorb.
-            raise OSError(errno.EIO,
-                          f"chaos: fsync lost at {self.scope}.fsync")
+        self._trip("fsync")
         os.fsync(fd)
 
     def replace(self, src: str, dst: str) -> None:
-        spec = self.plan.trip(self.scope + ".replace")
-        if spec is not None and spec.kind == "torn":
-            raise OSError(errno.EIO,
-                          f"chaos: replace lost at {self.scope}.replace")
+        self._trip("replace")
         super().replace(src, dst)
-
-    def unlink(self, path: str) -> None:
-        self.plan.trip(self.scope + ".unlink")
-        os.unlink(path)

@@ -19,8 +19,9 @@ Fault kinds:
     Raise ``OSError`` with the matching ``errno`` at the site.
 ``torn``
     For write sites: write a prefix of the payload, then raise ``EIO``
-    (a torn write).  At ``fsync``/``replace`` sites it degenerates to
-    ``eio`` — data that was never made durable.
+    (a torn write).  At ``open``/``fsync``/``replace`` sites, which
+    write no bytes, it degenerates to ``eio`` — data that was never made
+    durable.
 ``latency``
     Sleep ``delay`` seconds at the site, then continue.
 ``crash``

@@ -24,7 +24,7 @@ a copy.  The inputs are the trace and the options object the run was
 given; the key already pins the trace by digest and the result-affecting
 options by token, so a resumed run binds the references to its own,
 content-equal inputs (:func:`load_snapshot`).  A trace the run derived
-(a ``repair="fix"`` rebuild) is not an input and is stored by value.
+(a ``repair="fix"`` result) is not an input and is stored by value.
 
 ``completed``/``outcomes`` list only successfully completed (ok or
 fallback) stages — the executor never checkpoints a skipped stage — and

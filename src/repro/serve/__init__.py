@@ -34,21 +34,10 @@ store without re-extraction.  The ledger makes the queue SIGKILL-safe:
 a restarted server re-runs exactly the journaled jobs that had not
 completed.  See ``docs/API.md`` ("The extraction service") for the
 endpoint table, job lifecycle, and store layout.
-"""
 
-from repro.batch import ArtifactStore
-from repro.serve.app import ExtractionApp, run_server, start_server_thread
-from repro.serve.breaker import CircuitBreaker
-from repro.serve.client import ClientError, ServeClient
-from repro.serve.jobs import (
-    JobLedger,
-    JobRecord,
-    JobService,
-    OverloadError,
-    read_job_ledger,
-)
-from repro.serve.schemas import JOB_STATES, SchemaError, parse_options
-from repro.serve.worker import analyze_one
+The exported names load on first access, so importing one submodule
+(``repro.serve.worker``, say) does not load the HTTP service stack.
+"""
 
 __all__ = [
     "ArtifactStore",
@@ -68,3 +57,18 @@ __all__ = [
     "run_server",
     "start_server_thread",
 ]
+
+
+def __getattr__(name: str):
+    # A name outside __all__ fails before importing anything: the
+    # ``from repro.serve import jobs`` below must fall through to the
+    # submodule instead of recursing.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro import batch
+    from repro.serve import app, breaker, client, jobs, schemas, worker
+
+    for module in (batch, app, breaker, client, jobs, schemas, worker):
+        if name in vars(module):
+            return vars(module)[name]
+    raise AttributeError(name)  # pragma: no cover - __all__ names a missing export

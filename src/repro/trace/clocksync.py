@@ -15,6 +15,9 @@ This module provides both sides:
   controlled-logical-clock style forward amortization that pushes any
   still-violating receive (and everything after it on its processor)
   forward until every receive trails its send by the minimum latency.
+
+Both read the trace's time columns and derive the corrected trace from
+them (:func:`repro.trace.columns.derived_trace`); only times change.
 """
 
 from __future__ import annotations
@@ -22,8 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.trace.events import NO_ID
-from repro.trace.model import Trace, TraceBuilder
+import numpy as np
+
+from repro.trace.columns import TraceColumns, derived_trace
+from repro.trace.events import NO_ID, EventKind
+from repro.trace.model import Trace
 
 
 # ---------------------------------------------------------------------------
@@ -44,37 +50,21 @@ def apply_clock_skew(
         raise ValueError("need one offset per PE")
     if drifts is not None and len(drifts) < trace.num_pes:
         raise ValueError("need one drift per PE")
+    offset = np.asarray(offsets, np.float64)
+    rate = 1.0 + (np.asarray(drifts, np.float64) if drifts is not None
+                  else np.zeros(len(offset)))
 
-    def warp(t: float, pe: int) -> float:
-        rate = 1.0 + (drifts[pe] if drifts is not None else 0.0)
-        return t * rate + offsets[pe]
+    def warp(t, pe):
+        return t * rate[pe] + offset[pe]
 
-    return _rebuild(trace, warp)
-
-
-def _rebuild(trace: Trace, warp) -> Trace:
-    """Clone a trace with every timestamp passed through ``warp(t, pe)``."""
-    b = TraceBuilder(num_pes=trace.num_pes, metadata=dict(trace.metadata))
-    for entry in trace.entries:
-        b.add_entry(entry.name, entry.chare_type, entry.is_sdag_serial,
-                    entry.sdag_ordinal)
-    for arr in trace.arrays:
-        b.add_array(arr.name, arr.shape)
-    for chare in trace.chares:
-        b.add_chare(chare.name, chare.array_id, chare.index,
-                    chare.is_runtime, chare.home_pe)
-    for ex in trace.executions:
-        b.add_execution(ex.chare, ex.entry, ex.pe,
-                        warp(ex.start, ex.pe), warp(ex.end, ex.pe),
-                        recv_event=ex.recv_event)
-    for ev in trace.events:
-        b.add_event(ev.kind, ev.chare, ev.pe, warp(ev.time, ev.pe),
-                    ev.execution)
-    for msg in trace.messages:
-        b.add_message(msg.send_event, msg.recv_event)
-    for idle in trace.idles:
-        b.add_idle(idle.pe, warp(idle.start, idle.pe), warp(idle.end, idle.pe))
-    return b.build()
+    columns = TraceColumns.of(trace)
+    out = columns.take()
+    out.ex_start = warp(columns.ex_start, columns.ex_pe)
+    out.ex_end = warp(columns.ex_end, columns.ex_pe)
+    out.ev_time = warp(columns.ev_time, columns.ev_pe)
+    out.idle_start = warp(columns.idle_start, columns.idle_pe)
+    out.idle_end = warp(columns.idle_end, columns.idle_pe)
+    return derived_trace(trace, out)
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +82,19 @@ class SyncStats:
     amortized_blocks: int = 0
 
 
+def _complete_messages(trace: Trace):
+    """Columns plus the send and receive event ids of complete messages."""
+    columns = TraceColumns.of(trace)
+    complete = (columns.msg_send != NO_ID) & (columns.msg_recv != NO_ID)
+    return columns, columns.msg_send[complete], columns.msg_recv[complete]
+
+
 def count_violations(trace: Trace, min_latency: float = 0.0) -> int:
     """Messages whose receive precedes send + ``min_latency``."""
-    bad = 0
-    for msg in trace.messages:
-        if msg.is_complete():
-            send = trace.events[msg.send_event]
-            recv = trace.events[msg.recv_event]
-            if recv.time < send.time + min_latency - 1e-9:
-                bad += 1
-    return bad
+    columns, send, recv = _complete_messages(trace)
+    times = columns.ev_time
+    return int(np.count_nonzero(
+        times[recv] < times[send] + min_latency - 1e-9))
 
 
 def estimate_pe_offsets(
@@ -117,16 +110,13 @@ def estimate_pe_offsets(
     terminate relaxation at ``max_rounds``; the leftover violations are
     handled by forward amortization.
     """
-    constraints: List[Tuple[int, int, float]] = []
-    for msg in trace.messages:
-        if not msg.is_complete():
-            continue
-        send = trace.events[msg.send_event]
-        recv = trace.events[msg.recv_event]
-        if send.pe == recv.pe:
-            continue
-        bound = send.time + min_latency - recv.time
-        constraints.append((send.pe, recv.pe, bound))
+    columns, send, recv = _complete_messages(trace)
+    send_pe, recv_pe = columns.ev_pe[send], columns.ev_pe[recv]
+    cross = send_pe != recv_pe
+    bounds = (columns.ev_time[send[cross]] + min_latency
+              - columns.ev_time[recv[cross]])
+    constraints: List[Tuple[int, int, float]] = list(zip(
+        send_pe[cross].tolist(), recv_pe[cross].tolist(), bounds.tolist()))
 
     offsets = [0.0] * trace.num_pes
     rounds = 0
@@ -154,70 +144,61 @@ def forward_amortize(trace: Trace, min_latency: float = 0.0) -> Tuple[Trace, int
     shift forward by the deficit.  Per-PE event order and block spans are
     preserved; the returned trace has no violations.
     """
-    exec_shift: Dict[int, float] = {}
+    columns = TraceColumns.of(trace)
+    start = columns.ex_start.tolist()
+    ex_pe = columns.ex_pe.tolist()
+    is_recv = (columns.ev_kind == EventKind.RECV).tolist()
+    times = columns.ev_time.tolist()
+    msg_send = columns.msg_send.tolist()
+    message_by_recv = trace.message_by_recv
+    exec_shift = [0.0] * len(start)
     pe_shift = [0.0] * trace.num_pes
     new_time: Dict[int, float] = {}
     amortized = 0
 
     # Process executions in start order; ties by id keep determinism.
-    order = sorted(range(len(trace.executions)),
-                   key=lambda x: (trace.executions[x].start, x))
+    order = sorted(range(len(start)), key=lambda x: (start[x], x))
     # Events must be handled send-before-recv; within a global sweep by
     # block start this holds for cross-PE messages after shifting, so a
     # fixed point loop over unresolved receives handles chains.
     for xid in order:
-        ex = trace.executions[xid]
-        shift = pe_shift[ex.pe]
+        pe = ex_pe[xid]
+        shift = pe_shift[pe]
         # Does any receive in this block violate?
         deficit = 0.0
         for evid in trace.events_of(xid):
-            ev = trace.events[evid]
-            if ev.kind.name != "RECV":
+            if not is_recv[evid]:
                 continue
-            mid = trace.message_by_recv[evid]
+            mid = message_by_recv[evid]
             if mid == NO_ID:
                 continue
-            send = trace.messages[mid].send_event
+            send = msg_send[mid]
             if send == NO_ID:
                 continue
-            send_rec = trace.events[send]
-            send_time = new_time.get(send, send_rec.time)
-            need = send_time + min_latency - (ev.time + shift)
+            send_time = new_time.get(send, times[send])
+            need = send_time + min_latency - (times[evid] + shift)
             if need > deficit:
                 deficit = need
         if deficit > 1e-12:
             shift += deficit
-            pe_shift[ex.pe] = shift
+            pe_shift[pe] = shift
             amortized += 1
         exec_shift[xid] = shift
         for evid in trace.events_of(xid):
-            new_time[evid] = trace.events[evid].time + shift
+            new_time[evid] = times[evid] + shift
 
-    # Rebuild with the computed shifts.  Idle intervals are left as-is:
+    # Derive with the computed shifts.  Idle intervals are left as-is:
     # they are per-PE-local observations unaffected by the per-block
     # corrections (a conservative choice; the metric layer treats them as
     # lower bounds after amortization).
-    b = TraceBuilder(num_pes=trace.num_pes, metadata=dict(trace.metadata))
-    for entry in trace.entries:
-        b.add_entry(entry.name, entry.chare_type, entry.is_sdag_serial,
-                    entry.sdag_ordinal)
-    for arr in trace.arrays:
-        b.add_array(arr.name, arr.shape)
-    for chare in trace.chares:
-        b.add_chare(chare.name, chare.array_id, chare.index,
-                    chare.is_runtime, chare.home_pe)
-    for ex in trace.executions:
-        s = exec_shift.get(ex.id, 0.0)
-        b.add_execution(ex.chare, ex.entry, ex.pe, ex.start + s, ex.end + s,
-                        recv_event=ex.recv_event)
-    for ev in trace.events:
-        t = new_time.get(ev.id, ev.time)
-        b.add_event(ev.kind, ev.chare, ev.pe, t, ev.execution)
-    for msg in trace.messages:
-        b.add_message(msg.send_event, msg.recv_event)
-    for idle in trace.idles:
-        b.add_idle(idle.pe, idle.start, idle.end)
-    return b.build(), amortized
+    time = columns.ev_time.copy()
+    time[list(new_time)] = list(new_time.values())
+    shifts = np.array(exec_shift, np.float64)
+    out = columns.take()
+    out.ex_start = columns.ex_start + shifts
+    out.ex_end = columns.ex_end + shifts
+    out.ev_time = time
+    return derived_trace(trace, out), amortized
 
 
 def synchronize_trace(

@@ -22,6 +22,14 @@ An object-backed trace (:func:`repro.trace.reader.read_trace`, a
 :class:`~repro.trace.model.TraceBuilder`) gets its columns extracted from
 the records once, on first use, and cached on the trace.
 
+Derived traces are made from columns too: repair, fault injection, the
+time/chare filters and clock sync select rows per record family
+(:meth:`TraceColumns.take`), renumber the kept rows (:func:`renumber`),
+map reference columns through the new ids (:func:`follow`) and wrap
+the result with the source's registries (:func:`derived_trace`), so
+they build no record.  A derived trace shares the column arrays it did
+not change with its source: nothing writes into a column in place.
+
 Bit-identity with the eager path is the contract: every index kernel
 here reproduces the python loop's dict/list orders element for element,
 and the differential twins in ``tests/test_streaming_ingest.py`` hold
@@ -126,6 +134,17 @@ class TraceColumns:
     def n_idles(self) -> int:
         return len(self.idle_pe)
 
+    def take(self, ex=None, ev=None, msg=None, idle=None) -> "TraceColumns":
+        """New columns with each named family (executions, events,
+        messages, idles) reduced to the rows that a mask, an index array
+        or a slice selects; the other families' arrays are shared."""
+        rows = {"ex": ex, "ev": ev, "msg": msg, "idle": idle}
+        fields = {}
+        for name in _COLUMNS:
+            column, selected = getattr(self, name), rows[name.split("_")[0]]
+            fields[name] = column if selected is None else column[selected]
+        return TraceColumns(**fields)
+
     @classmethod
     def of(cls, trace: Trace) -> "TraceColumns":
         """A chunk-ingested trace's own columns; for an object-backed
@@ -164,6 +183,10 @@ class TraceColumns:
         )
 
 
+#: The column attributes, without the lazily derived ``_partner_send``.
+_COLUMNS = tuple(n for n in TraceColumns.__slots__ if not n.startswith("_"))
+
+
 class LazyRecordList(Sequence):
     """Sequence view over columns that builds records on demand.
 
@@ -172,8 +195,8 @@ class LazyRecordList(Sequence):
     holding no per-record objects.  Records are **rebuilt on every
     access**; they compare equal to their eager twins but are not
     identical across accesses, which is safe because nothing in the tree
-    mutates records after a trace is built (the repair pass rebuilds via
-    :class:`~repro.trace.model.TraceBuilder`).
+    mutates records after a trace is built (repair and the other
+    derivations make new columns; see :func:`derived_trace`).
     """
 
     __slots__ = ("columns", "_n")
@@ -471,3 +494,33 @@ class ColumnarTrace(Trace):
             f"events={self.columns.n_events}, "
             f"messages={self.columns.n_messages}, pes={self.num_pes})"
         )
+
+
+# ----------------------------------------------------------------------
+# Derivation: a trace from selected rows and remapped references.
+# ----------------------------------------------------------------------
+def renumber(keep) -> np.ndarray:
+    """Per row: its dense id among the rows ``keep`` selects, else NO_ID."""
+    return np.where(keep, np.cumsum(keep) - 1, NO_ID)
+
+
+def follow(refs, new_ids) -> np.ndarray:
+    """A reference column mapped through :func:`renumber`'s ids.
+
+    A negative or out-of-range reference, or one to a dropped row, maps
+    to NO_ID (a negative id never wraps).
+    """
+    out = np.full(len(refs), NO_ID, np.int64)
+    ok = (refs >= 0) & (refs < len(new_ids))
+    out[ok] = new_ids[refs[ok]]
+    return out
+
+
+def derived_trace(trace: Trace, columns: TraceColumns) -> ColumnarTrace:
+    """A :class:`ColumnarTrace` over ``columns`` with ``trace``'s
+    registries, PE count and (copied) metadata.  Only idles with
+    ``end > start`` are kept, as
+    :meth:`~repro.trace.model.TraceBuilder.add_idle` keeps."""
+    columns = columns.take(idle=columns.idle_end > columns.idle_start)
+    return ColumnarTrace(columns, list(trace.chares), list(trace.entries),
+                         list(trace.arrays), trace.num_pes, trace.metadata)

@@ -9,11 +9,12 @@ the repair layer (:mod:`repro.trace.repair`), the batch driver, and the
 test suite can exercise ingestion against realistic damage instead of
 hoping it never happens.
 
-Every injector is deterministic given ``seed`` and keeps the result
-*constructible*: record ids stay dense and message endpoints stay
-in-range (the :class:`Trace` index builder requires both), but the
-referential and physical invariants checked by
-:func:`repro.trace.validate.validate_trace` are deliberately broken.
+Every injector is deterministic given ``seed`` and derives its result
+from the trace's columns (:func:`repro.trace.columns.derived_trace`):
+record ids stay dense and message endpoints stay in range, so the
+result's indexes build, but the referential and physical invariants
+checked by :func:`repro.trace.validate.validate_trace` are deliberately
+broken.
 
 Fault kinds (:data:`FAULT_KINDS`):
 
@@ -44,86 +45,51 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.trace.columns import TraceColumns, derived_trace, follow, renumber
 from repro.trace.events import NO_ID
-from repro.trace.model import Trace, TraceBuilder
+from repro.trace.model import Trace
 
 
-def _builder_with_registries(trace: Trace) -> TraceBuilder:
-    """A new builder carrying the trace's registries and metadata."""
-    b = TraceBuilder(num_pes=trace.num_pes, metadata=dict(trace.metadata))
-    for entry in trace.entries:
-        b.add_entry(entry.name, entry.chare_type, entry.is_sdag_serial,
-                    entry.sdag_ordinal)
-    for arr in trace.arrays:
-        b.add_array(arr.name, arr.shape)
-    for chare in trace.chares:
-        b.add_chare(chare.name, chare.array_id, chare.index,
-                    chare.is_runtime, chare.home_pe)
-    return b
+def _derive(trace: Trace, keep_exec=None, keep_message=None,
+            exec_end=None) -> Trace:
+    """Derive ``trace`` with the rows the ``keep_*`` masks select (None
+    keeps all) and ``exec_end`` as the end column, if given.
 
-
-def _rebuild(
-    trace: Trace,
-    keep_exec: Callable[[int], bool] = lambda x: True,
-    keep_event: Callable[[int], bool] = lambda e: True,
-    keep_message: Callable[[int], bool] = lambda m: True,
-    exec_span: Optional[Dict[int, Tuple[float, float]]] = None,
-) -> Trace:
-    """Clone ``trace`` with records filtered and ids re-densified.
-
-    References to dropped records are remapped to :data:`NO_ID`.
-    Messages lose a dropped send endpoint (orphan receive) but are
-    dropped entirely when their receive endpoint is gone.
+    References to dropped or missing records become :data:`NO_ID`: a
+    dropped execution leaves its events as orphans.  Messages lose a
+    missing send endpoint (orphan receive) but are dropped entirely when
+    their receive endpoint is gone, or when both ends are.
     """
-    exec_span = exec_span or {}
-    b = _builder_with_registries(trace)
+    columns = TraceColumns.of(trace)
+    if keep_exec is None:
+        keep_exec = np.ones(columns.n_executions, bool)
+    event_ids = np.arange(columns.n_events)
+    send = follow(columns.msg_send, event_ids)
+    recv = follow(columns.msg_recv, event_ids)
+    keep = (recv != NO_ID) | ((columns.msg_recv == NO_ID) & (send != NO_ID))
+    if keep_message is not None:
+        keep &= keep_message
 
-    exec_map: Dict[int, int] = {}
-    for ex in trace.executions:
-        if not keep_exec(ex.id):
-            continue
-        start, end = exec_span.get(ex.id, (ex.start, ex.end))
-        exec_map[ex.id] = b.add_execution(ex.chare, ex.entry, ex.pe,
-                                          start, end, recv_event=NO_ID)
-
-    event_map: Dict[int, int] = {}
-    for ev in trace.events:
-        if not keep_event(ev.id):
-            continue
-        owner = exec_map.get(ev.execution, NO_ID)
-        event_map[ev.id] = b.add_event(ev.kind, ev.chare, ev.pe, ev.time,
-                                       owner)
-
-    for ex in trace.executions:
-        new_id = exec_map.get(ex.id)
-        if new_id is None or ex.recv_event == NO_ID:
-            continue
-        mapped = event_map.get(ex.recv_event)
-        if mapped is not None:
-            b.set_execution_recv(new_id, mapped)
-
-    for msg in trace.messages:
-        if not keep_message(msg.id):
-            continue
-        send = event_map.get(msg.send_event, NO_ID)
-        recv = event_map.get(msg.recv_event, NO_ID)
-        if msg.recv_event != NO_ID and recv == NO_ID:
-            continue  # the receive record is gone: nothing to anchor
-        if send == NO_ID and recv == NO_ID:
-            continue
-        b.add_message(send_event=send, recv_event=recv)
-
-    for idle in trace.idles:
-        b.add_idle(idle.pe, idle.start, idle.end)
-    return b.build()
+    out = columns.take(ex=keep_exec, msg=keep)
+    if exec_end is not None:
+        out.ex_end = exec_end[keep_exec]
+    out.ex_recv = follow(columns.ex_recv, event_ids)[keep_exec]
+    out.ev_exec = follow(columns.ev_exec, renumber(keep_exec))
+    out.msg_send, out.msg_recv = send[keep], recv[keep]
+    return derived_trace(trace, out)
 
 
-def _sample(rng: random.Random, ids: Sequence[int], severity: float) -> set:
-    """A random subset of ``ids``: ``severity`` fraction, at least one."""
-    if not ids:
-        return set()
-    k = max(1, int(round(len(ids) * min(max(severity, 0.0), 1.0))))
-    return set(rng.sample(list(ids), min(k, len(ids))))
+def _sample(rng: random.Random, ids: Sequence[int], severity: float,
+            n: int) -> np.ndarray:
+    """Mask over ``n`` rows of a random subset of ``ids``: ``severity``
+    fraction, at least one."""
+    mask = np.zeros(n, bool)
+    if ids:
+        k = max(1, int(round(len(ids) * min(max(severity, 0.0), 1.0))))
+        mask[rng.sample(list(ids), min(k, len(ids)))] = True
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -152,67 +118,49 @@ def truncate(trace: Trace, rng: random.Random, severity: float) -> Trace:
     k_m = min(n_m, max(0, keep - n_x - n_e))
     k_i = max(0, keep - n_x - n_e - n_m)
 
-    b = _builder_with_registries(trace)
-    for ex in trace.executions[:k_x]:
-        # recv_event kept verbatim: ids >= k_e now dangle.
-        b.add_execution(ex.chare, ex.entry, ex.pe, ex.start, ex.end,
-                        recv_event=ex.recv_event)
-    for ev in trace.events[:k_e]:
-        b.add_event(ev.kind, ev.chare, ev.pe, ev.time, ev.execution)
-    for msg in trace.messages[:k_m]:
-        b.add_message(msg.send_event, msg.recv_event)
-    for idle in trace.idles[:k_i]:
-        b.add_idle(idle.pe, idle.start, idle.end)
-    return b.build()
+    columns = TraceColumns.of(trace).take(
+        ex=slice(k_x), ev=slice(k_e), msg=slice(k_m), idle=slice(k_i))
+    # References are kept verbatim: recv_event ids >= k_e now dangle.
+    return derived_trace(trace, columns)
 
 
 def drop_messages(trace: Trace, rng: random.Random, severity: float) -> Trace:
     """Lose a fraction of message records (dependencies go untraced)."""
-    dropped = _sample(rng, [m.id for m in trace.messages], severity)
-    return _rebuild(trace, keep_message=lambda m: m not in dropped)
+    n = len(trace.messages)
+    return _derive(trace, keep_message=~_sample(rng, list(range(n)),
+                                                 severity, n))
 
 
 def dup_messages(trace: Trace, rng: random.Random, severity: float) -> Trace:
     """Double-deliver a fraction of complete messages (recv reuse)."""
-    complete = [m.id for m in trace.messages if m.is_complete()]
-    doubled = _sample(rng, complete, severity)
-    b = _builder_with_registries(trace)
-    # Nothing is dropped, so every id survives unchanged; replay the
-    # records verbatim plus one extra copy of each doubled message.
-    for ex in trace.executions:
-        b.add_execution(ex.chare, ex.entry, ex.pe, ex.start, ex.end,
-                        recv_event=ex.recv_event)
-    for ev in trace.events:
-        b.add_event(ev.kind, ev.chare, ev.pe, ev.time, ev.execution)
-    for msg in trace.messages:
-        b.add_message(msg.send_event, msg.recv_event)
-        if msg.id in doubled:
-            b.add_message(msg.send_event, msg.recv_event)
-    for idle in trace.idles:
-        b.add_idle(idle.pe, idle.start, idle.end)
-    return b.build()
+    columns = TraceColumns.of(trace)
+    complete = (columns.msg_send != NO_ID) & (columns.msg_recv != NO_ID)
+    doubled = _sample(rng, np.flatnonzero(complete).tolist(), severity,
+                      columns.n_messages)
+    # Nothing is dropped, so every id survives unchanged; each doubled
+    # message is followed by one extra copy.
+    rows = np.repeat(np.arange(columns.n_messages), 1 + doubled)
+    return derived_trace(trace, columns.take(msg=rows))
 
 
 def orphan_recv(trace: Trace, rng: random.Random, severity: float) -> Trace:
     """Lose a fraction of execution records, orphaning their events."""
-    if not trace.executions:
+    n = len(trace.executions)
+    if not n:
         return trace
-    dropped = _sample(rng, [ex.id for ex in trace.executions], severity)
-    return _rebuild(trace, keep_exec=lambda x: x not in dropped)
+    return _derive(trace, keep_exec=~_sample(rng, list(range(n)),
+                                              severity, n))
 
 
 def negative_duration(trace: Trace, rng: random.Random,
                       severity: float) -> Trace:
     """Corrupt a fraction of executions so ``end`` precedes ``start``."""
-    positive = [ex.id for ex in trace.executions if ex.end > ex.start]
-    corrupted = _sample(rng, positive, severity)
-    spans = {
-        x: (trace.executions[x].start,
-            trace.executions[x].start
-            - (trace.executions[x].end - trace.executions[x].start))
-        for x in corrupted
-    }
-    return _rebuild(trace, exec_span=spans)
+    columns = TraceColumns.of(trace)
+    start, end = columns.ex_start, columns.ex_end.copy()
+    positive = np.flatnonzero(end > start).tolist()
+    corrupted = _sample(rng, positive, severity, columns.n_executions)
+    end[corrupted] = start[corrupted] - (end[corrupted] - start[corrupted])
+    return _derive(trace, exec_end=end)
 
 
 def clock_skew(trace: Trace, rng: random.Random, severity: float) -> Trace:

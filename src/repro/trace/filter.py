@@ -9,23 +9,30 @@ consistent sub-trace:
   away leaves the receive *untraced*, exactly the missing-dependency shape
   the Section 3.1.4 inference handles, so sliced traces remain analyzable;
 * idle intervals are clipped to time windows.
+
+Each subset is derived from the trace's columns
+(:func:`repro.trace.columns.derived_trace`) and shares its registries.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
+from repro.trace.columns import TraceColumns, derived_trace, follow, renumber
 from repro.trace.events import NO_ID
-from repro.trace.model import Trace, TraceBuilder
+from repro.trace.model import Trace
 
 
 def slice_time(trace: Trace, start: float, end: float) -> Trace:
     """Keep executions that overlap the window ``[start, end]``."""
     if end < start:
         raise ValueError("end must be >= start")
+    columns = TraceColumns.of(trace)
     return _subset(
         trace,
-        lambda ex: ex.end >= start and ex.start <= end,
+        (columns.ex_end >= start) & (columns.ex_start <= end),
         idle_clip=(start, end),
     )
 
@@ -36,58 +43,37 @@ def filter_chares(trace: Trace, chares: Iterable[int]) -> Trace:
     for c in selected:
         if not (0 <= c < len(trace.chares)):
             raise ValueError(f"unknown chare id {c}")
-    return _subset(trace, lambda ex: ex.chare in selected)
+    return _subset(trace, np.isin(TraceColumns.of(trace).ex_chare,
+                                  sorted(selected)))
 
 
 def filter_application(trace: Trace) -> Trace:
     """Drop runtime chares' executions (the developers'-eye sub-trace)."""
-    return _subset(trace, lambda ex: not trace.is_runtime_chare(ex.chare))
+    runtime = np.array([c.is_runtime for c in trace.chares], bool)
+    return _subset(trace, ~runtime[TraceColumns.of(trace).ex_chare])
 
 
-def _subset(trace: Trace, keep, idle_clip=None) -> Trace:
-    b = TraceBuilder(num_pes=trace.num_pes, metadata=dict(trace.metadata))
-    # Registries are copied wholesale (ids stay stable for chares/entries;
-    # dropping unused registry rows would complicate cross-references for
-    # no memory win at these scales).
-    for entry in trace.entries:
-        b.add_entry(entry.name, entry.chare_type, entry.is_sdag_serial,
-                    entry.sdag_ordinal)
-    for arr in trace.arrays:
-        b.add_array(arr.name, arr.shape)
-    for chare in trace.chares:
-        b.add_chare(chare.name, chare.array_id, chare.index,
-                    chare.is_runtime, chare.home_pe)
+def _subset(trace: Trace, keep_exec, idle_clip=None) -> Trace:
+    """Derive the executions ``keep_exec`` selects, their events, and the
+    messages whose receive survives.  Registries are shared wholesale
+    (ids stay stable for chares/entries; dropping unused registry rows
+    would complicate cross-references for no memory win at these
+    scales)."""
+    columns = TraceColumns.of(trace)
+    owner = follow(columns.ev_exec, renumber(keep_exec))
+    keep_event = owner != NO_ID
+    event_ids = renumber(keep_event)
+    recv = follow(columns.msg_recv, event_ids)
+    keep_message = recv != NO_ID  # a message is anchored by its receive
 
-    exec_map = {}
-    for ex in trace.executions:
-        if keep(ex):
-            exec_map[ex.id] = b.add_execution(
-                ex.chare, ex.entry, ex.pe, ex.start, ex.end
-            )
-    event_map = {}
-    for ev in trace.events:
-        if ev.execution in exec_map:
-            event_map[ev.id] = b.add_event(
-                ev.kind, ev.chare, ev.pe, ev.time, exec_map[ev.execution]
-            )
-    for msg in trace.messages:
-        recv = event_map.get(msg.recv_event)
-        if recv is None:
-            continue  # a message is anchored by its receive
-        send = event_map.get(msg.send_event, NO_ID)
-        b.add_message(send_event=send, recv_event=recv)
-    # Re-link execution recv events.
-    for old_id, new_id in exec_map.items():
-        old_recv = trace.executions[old_id].recv_event
-        if old_recv != NO_ID and old_recv in event_map:
-            b.set_execution_recv(new_id, event_map[old_recv])
-
-    for idle in trace.idles:
-        if idle_clip is None:
-            b.add_idle(idle.pe, idle.start, idle.end)
-        else:
-            lo = max(idle.start, idle_clip[0])
-            hi = min(idle.end, idle_clip[1])
-            if hi > lo:
-                b.add_idle(idle.pe, lo, hi)
-    return b.build()
+    out = columns.take(ex=keep_exec, ev=keep_event, msg=keep_message)
+    out.ex_recv = follow(columns.ex_recv, event_ids)[keep_exec]
+    out.ev_exec = owner[keep_event]
+    out.msg_send = follow(columns.msg_send, event_ids)[keep_message]
+    out.msg_recv = recv[keep_message]
+    if idle_clip is not None:
+        lo, hi = idle_clip
+        # Python's max/min: a bound replaces a time it beats strictly.
+        out.idle_start = np.where(lo > out.idle_start, lo, out.idle_start)
+        out.idle_end = np.where(hi < out.idle_end, hi, out.idle_end)
+    return derived_trace(trace, out)

@@ -15,7 +15,10 @@ between ingestion and the pipeline:
 Repair is conservative by design: an action is taken only when it cannot
 invent information (a dangling reference is provably wrong; a plausible
 but unmatched message is left alone).  Defects with no safe repair are
-surfaced in :attr:`RepairReport.residual` rather than guessed at.
+surfaced in :attr:`RepairReport.residual` rather than guessed at.  Both
+the plan and the repaired trace are computed from the trace's columns: a
+repaired trace is a :class:`~repro.trace.columns.ColumnarTrace` derived
+with :func:`~repro.trace.columns.derived_trace`.
 
 The pipeline runs this pass when ``PipelineOptions.repair`` is ``"warn"``
 (detect and report only) or ``"fix"`` (detect, repair, re-detect);
@@ -30,9 +33,9 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from repro.trace.columns import TraceColumns
+from repro.trace.columns import TraceColumns, derived_trace, follow, renumber
 from repro.trace.events import NO_ID
-from repro.trace.model import Trace, TraceBuilder
+from repro.trace.model import Trace
 from repro.trace.validate import Violation, collect_trace_problems
 
 #: Repair modes accepted by ``PipelineOptions.repair``.
@@ -161,14 +164,14 @@ def _build_plan(trace: Trace, problems: List[Violation],
     def act(name: str, n: int = 1) -> None:
         actions[name] = actions.get(name, 0) + n
 
-    n_events = len(trace.events)
-    seen_recv: Set[int] = set()
-    for msg in trace.messages:
-        if msg.recv_event != NO_ID and 0 <= msg.recv_event < n_events:
-            if msg.recv_event in seen_recv:
-                plan.drop_messages.add(msg.id)
-                act("drop-duplicate-message")
-            seen_recv.add(msg.recv_event)
+    columns = TraceColumns.of(trace)
+    recvs = columns.msg_recv
+    in_range = np.flatnonzero((recvs >= 0) & (recvs < columns.n_events))
+    duplicate = np.ones(len(in_range), bool)
+    duplicate[np.unique(recvs[in_range], return_index=True)[1]] = False
+    if duplicate.any():
+        plan.drop_messages.update(in_range[duplicate].tolist())
+        act("drop-duplicate-message", int(duplicate.sum()))
 
     skew = 0
     for v in problems:
@@ -215,24 +218,27 @@ def _build_plan(trace: Trace, problems: List[Violation],
     # ``events_of``: a chunk-ingested trace builds that index over every
     # event and rejects an out-of-range owner, which the drop set holds
     # anyway.  Their order does not matter: ``min``/``max`` start from
-    # ``ex.start``, so a NaN time never wins.
-    members: Dict[int, List[int]] = {}
+    # the execution's start, so a NaN time never wins.
+    times: Dict[int, List[float]] = {}
     if plan.clamp_spans:
-        ev_exec = TraceColumns.of(trace).ev_exec
         clamped = np.fromiter(plan.clamp_spans, np.int64,
                               len(plan.clamp_spans))
-        rows = np.flatnonzero(np.isin(ev_exec, clamped))
-        for ev_id, exec_id in zip(rows.tolist(), ev_exec[rows].tolist()):
-            members.setdefault(exec_id, []).append(ev_id)
+        rows = np.flatnonzero(np.isin(columns.ev_exec, clamped))
+        for ev_id, exec_id, time in zip(rows.tolist(),
+                                        columns.ev_exec[rows].tolist(),
+                                        columns.ev_time[rows].tolist()):
+            if ev_id not in plan.drop_events:
+                times.setdefault(exec_id, []).append(time)
     resolved: Dict[int, Tuple[float, float]] = {}
     for exec_id in plan.clamp_spans:
-        if exec_id in plan.drop_execs or not (0 <= exec_id < len(trace.executions)):
+        if exec_id in plan.drop_execs or not (
+                0 <= exec_id < columns.n_executions):
             continue
-        ex = trace.executions[exec_id]
-        times = [trace.events[e].time for e in members.get(exec_id, ())
-                 if e not in plan.drop_events]
-        lo = min([ex.start] + times)
-        hi = max([ex.start] + times + ([ex.end] if ex.end >= ex.start else []))
+        start = float(columns.ex_start[exec_id])
+        end = float(columns.ex_end[exec_id])
+        kept = times.get(exec_id, [])
+        lo = min([start] + kept)
+        hi = max([start] + kept + ([end] if end >= start else []))
         resolved[exec_id] = (lo, hi)
         act("clamp-exec-span")
     plan.clamp_spans = resolved
@@ -245,71 +251,48 @@ def _build_plan(trace: Trace, problems: List[Violation],
     return plan
 
 
+def _rows(n: int, ids) -> np.ndarray:
+    """Mask of the rows ``0..n-1`` that ``ids`` names (other ids name none)."""
+    ids = np.fromiter(ids, np.int64, len(ids))
+    mask = np.zeros(n, bool)
+    mask[ids[(ids >= 0) & (ids < n)]] = True
+    return mask
+
+
 def _apply_plan(trace: Trace, plan: _Plan) -> Trace:
-    """Rebuild the trace with the plan's drops/resets/clamps applied."""
-    b = TraceBuilder(num_pes=trace.num_pes, metadata=dict(trace.metadata))
-    for entry in trace.entries:
-        b.add_entry(entry.name, entry.chare_type, entry.is_sdag_serial,
-                    entry.sdag_ordinal)
-    for arr in trace.arrays:
-        b.add_array(arr.name, arr.shape)
-    for chare in trace.chares:
-        b.add_chare(chare.name, chare.array_id, chare.index,
-                    chare.is_runtime, chare.home_pe)
+    """Derive the trace with the plan's drops/resets/clamps applied.
 
-    n_events = len(trace.events)
-    exec_map: Dict[int, int] = {}
-    for ex in trace.executions:
-        if ex.id in plan.drop_execs:
-            continue
-        start, end = plan.clamp_spans.get(ex.id, (ex.start, ex.end))
-        if end < start:  # no events to clamp to: collapse to a point
-            start, end = min(start, end), min(start, end)
-        exec_map[ex.id] = b.add_execution(ex.chare, ex.entry, ex.pe,
-                                          start, end, recv_event=NO_ID)
+    An event whose owning execution is dropped goes with it; a message
+    goes when its receive existed but is gone, or when both ends are
+    gone.  A kept execution with ``end < start`` collapses to the point
+    ``end``.
+    """
+    columns = TraceColumns.of(trace)
+    start, end = columns.ex_start.copy(), columns.ex_end.copy()
+    for exec_id, (lo, hi) in plan.clamp_spans.items():
+        if 0 <= exec_id < len(start):
+            start[exec_id], end[exec_id] = lo, hi
+    inverted = end < start  # no events to clamp to: collapse to a point
+    start[inverted] = end[inverted]
 
-    event_map: Dict[int, int] = {}
-    for ev in trace.events:
-        if ev.id in plan.drop_events:
-            continue
-        owner = exec_map.get(ev.execution, NO_ID)
-        if ev.execution != NO_ID and owner == NO_ID:
-            continue  # owning execution dropped: the event goes with it
-        event_map[ev.id] = b.add_event(ev.kind, ev.chare, ev.pe, ev.time,
-                                       owner)
+    keep_ex = ~_rows(columns.n_executions, plan.drop_execs)
+    owner = follow(columns.ev_exec, renumber(keep_ex))
+    keep_ev = ~_rows(columns.n_events, plan.drop_events) & (
+        (columns.ev_exec == NO_ID) | (owner != NO_ID))
+    event_ids = renumber(keep_ev)
+    recv_event = np.where(_rows(columns.n_executions, plan.reset_recv),
+                          NO_ID, follow(columns.ex_recv, event_ids))
+    send = follow(columns.msg_send, event_ids)
+    recv = follow(columns.msg_recv, event_ids)
+    keep_msg = ~_rows(columns.n_messages, plan.drop_messages) & (
+        (recv != NO_ID) | ((columns.msg_recv == NO_ID) & (send != NO_ID)))
 
-    for ex in trace.executions:
-        new_id = exec_map.get(ex.id)
-        if new_id is None or ex.id in plan.reset_recv:
-            continue
-        recv = ex.recv_event
-        if recv == NO_ID:
-            continue
-        mapped = event_map.get(recv) if 0 <= recv < n_events else None
-        if mapped is not None:
-            b.set_execution_recv(new_id, mapped)
-
-    for msg in trace.messages:
-        if msg.id in plan.drop_messages:
-            continue
-        send = (event_map.get(msg.send_event, NO_ID)
-                if 0 <= msg.send_event < n_events else NO_ID)
-        recv = (event_map.get(msg.recv_event, NO_ID)
-                if 0 <= msg.recv_event < n_events else NO_ID)
-        if msg.recv_event != NO_ID and recv == NO_ID:
-            continue
-        if send == NO_ID and recv == NO_ID:
-            continue
-        b.add_message(send_event=send, recv_event=recv)
-
-    if not plan.drop_idles:
-        for idle in trace.idles:
-            b.add_idle(idle.pe, idle.start, idle.end)
-    else:
-        for idle in trace.idles:
-            if idle.end > idle.start:
-                b.add_idle(idle.pe, idle.start, idle.end)
-    return b.build()
+    out = columns.take(ex=keep_ex, ev=keep_ev, msg=keep_msg)
+    out.ex_start, out.ex_end = start[keep_ex], end[keep_ex]
+    out.ex_recv = recv_event[keep_ex]
+    out.ev_exec = owner[keep_ev]
+    out.msg_send, out.msg_recv = send[keep_msg], recv[keep_msg]
+    return derived_trace(trace, out)
 
 
 def repair_trace(

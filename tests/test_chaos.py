@@ -12,6 +12,7 @@ entered *and exited* correctly.
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -24,6 +25,7 @@ import urllib.request
 
 import pytest
 
+from repro.batch import StructureCache
 from repro.chaos import ChaosCrash, FaultPlan, FaultSpec
 from repro.cli import main as cli_main
 from repro.resilience.journal import JournalWriter, read_journal
@@ -214,6 +216,22 @@ def test_store_put_fault_leaves_no_torn_entry(tmp_path, site, kind):
     # The store recovers: the same key writes cleanly afterwards.
     reader.put("bb22", b'{"doc": 2}')
     assert ArtifactStore(tmp_path / "a").get("bb22") == b'{"doc": 2}'
+
+
+def test_torn_open_raises_eio_and_writes_nothing(tmp_path):
+    """``torn`` at ``open`` writes no bytes, so it degenerates to ``EIO``
+    like ``torn`` at ``fsync``/``replace``: the put fails loudly, leaves
+    no entry and no temp file, and the next put succeeds."""
+    plan = FaultPlan(specs=["store.open:torn:at=1"])
+    cache = StructureCache(tmp_path / "c", fs=plan.fs("store"))
+    with pytest.raises(OSError) as err:
+        cache.put("aa11", b"{}")
+    assert err.value.errno == errno.EIO
+    assert plan.summary()["fired"] == 1
+    assert StructureCache(tmp_path / "c").get("aa11") is None  # not on disk
+    assert list((tmp_path / "c").rglob("*.tmp")) == []
+    cache.put("aa11", b"{}")
+    assert StructureCache(tmp_path / "c").get("aa11") == b"{}"
 
 
 def test_upload_fault_is_contained_and_retryable(tmp_path, traces):

@@ -185,7 +185,7 @@ def test_random_defective_traces_match_oracle(raw):
             reference_defects(trace).items())
         assert repair_trace(trace, mode="warn")[1].detected == \
             reference_defects(trace)
-        # The fix-mode rebuild may itself reject what it cannot index;
+        # The fix-mode pass may itself reject what it cannot index;
         # it must do so alike under either detector.
         fixed = outcome(lambda: repair_trace(trace, mode="fix")[1].to_dict())
         ref_fixed = outcome(lambda: oracle_repair(trace, "fix")[1].to_dict())

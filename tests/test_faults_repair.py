@@ -52,7 +52,7 @@ def clean_trace():
 @pytest.mark.parametrize("kind", FAULT_KINDS)
 def test_fault_is_constructible_and_deterministic(clean_trace, kind):
     bad = inject_fault(clean_trace, kind, seed=7, severity=SEVERITY)
-    # Constructible: indexes built, ids dense (Trace.__init__ ran).
+    # Constructible: ids dense, derived as a ColumnarTrace.
     assert bad.events is not None
     again = inject_fault(clean_trace, kind, seed=7, severity=SEVERITY)
     assert trace_digest(bad) == trace_digest(again)

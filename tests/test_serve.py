@@ -20,9 +20,11 @@ import os
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +91,30 @@ def server(tmp_path):
 # ----------------------------------------------------------------------
 # HTTP round trip
 # ----------------------------------------------------------------------
+def test_worker_import_loads_no_service_stack():
+    """``import repro.serve.worker`` (the job body) loads neither asyncio
+    nor the app, client or job service: the package resolves its
+    exported names on first access, and every one of them resolves."""
+    script = textwrap.dedent("""
+        import json, sys
+        sys.path.insert(0, {src!r})
+        import repro.serve.worker
+        loaded = sorted(m for m in sys.modules
+                        if m == "asyncio" or m.startswith("repro.serve."))
+        import repro.serve as serve
+        print(json.dumps([loaded,
+                          [n for n in serve.__all__ if not hasattr(serve, n)]]))
+    """).format(src=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, unresolved = json.loads(proc.stdout.splitlines()[-1])
+    assert "asyncio" not in loaded
+    assert not {"repro.serve.app", "repro.serve.client",
+                "repro.serve.jobs"} & set(loaded)
+    assert unresolved == []
+
+
 def test_round_trip_byte_identical(server, trace_file, expected_json):
     port, _service = server
     status, body = http(port, "GET", "/healthz")
