@@ -30,13 +30,15 @@ table.  This module adds the batch driver behind ``repro batch``:
   ``journal`` path the extractor appends one fsync'd JSON line per
   finished trace, so ``repro batch --resume <journal>`` after a crash
   (even ``kill -9``) skips completed traces and re-runs only the rest.
-* :class:`BatchExtractor` — fans sources across worker processes,
-  captures per-trace timing and failures (one bad trace never aborts the
-  batch), and returns results in input order regardless of completion
-  order.  Each worker runs under an optional wall-clock ``timeout`` with
-  ``retries``/exponential-backoff; a worker that hangs is killed and a
-  worker that dies (OOM kill, segfault) marks its trace failed instead
-  of stalling the batch.
+* :class:`BatchExtractor` — fans sources across up to ``jobs``
+  long-lived worker processes, each forked once per run and fed one
+  trace index after another, captures per-trace timing and failures
+  (one bad trace never aborts the batch), and returns results in input
+  order regardless of completion order.  Each attempt runs under an
+  optional wall-clock ``timeout`` with ``retries``/exponential-backoff;
+  a worker that hangs is killed and a worker that dies (OOM kill,
+  segfault) marks its trace failed instead of stalling the batch, and
+  either is replaced by a fresh worker for the traces still to run.
 
 Summaries, not structures, are cached: the cache answers "what did this
 trace extract to" (phase/step counts, timings, repair report) for
@@ -517,16 +519,50 @@ def _extract_one(source: BatchSource, option_fields: dict):
         return False, {}, error, _time.perf_counter() - t0  # repro-lint: disable=DET001 reason=worker timing telemetry, never keyed or cached
 
 
-def _pipe_worker(conn, worker, source: BatchSource,
-                 option_fields: dict) -> None:
-    """Child-process entry: run the job ``worker``, ship the outcome."""
+def _serve_attempts(conn, worker, sources: List[BatchSource],
+                    option_fields: dict) -> None:
+    """Worker-process loop: run the job ``worker`` on each source index
+    received over ``conn`` and send back its outcome, until ``None``."""
     try:
-        conn.send(worker(source, option_fields))
+        while True:
+            i = conn.recv()
+            if i is None:
+                return
+            conn.send(worker(sources[i], option_fields))
     except Exception:  # repro-lint: disable=EXC001 reason=child-process edge: the parent detects the silent exit as a crash and journals it; nothing in this process can record more
-        # The parent treats a silent exit as a crash; nothing else to do.
+        # The parent treats a silent exit mid-attempt as a crash.
         pass
     finally:
         conn.close()
+
+
+@dataclass
+class _Worker:
+    """One long-lived worker process of a run, its pipe, and the attempt
+    it is running: ``(index, attempt, deadline, started)``, or None."""
+
+    proc: object
+    conn: object
+    job: Optional[Tuple[int, int, Optional[float], float]] = None
+
+
+def _stop_workers(workers: List[_Worker]) -> None:
+    """Stop and join workers: an idle one is asked to exit, a running one
+    is terminated, and one still alive a second later is killed."""
+    for w in workers:
+        if w.job is None:
+            try:
+                w.conn.send(None)
+            except OSError:
+                pass  # already gone
+        else:
+            w.proc.terminate()
+    for w in workers:
+        w.proc.join(1.0)
+        if w.proc.is_alive():
+            w.proc.kill()
+            w.proc.join()
+        w.conn.close()
 
 
 @dataclass
@@ -604,24 +640,29 @@ class BatchExtractor:
     """Extract many traces, in parallel, with per-trace failure capture.
 
     ``jobs`` ≤ 1 runs serially in-process (deterministic debugging path);
-    larger values fan out across worker processes.  Either way results
-    come back in input order and are bit-identical to serial runs —
-    workers run the same pipeline on the same options.
+    larger values fan out across up to ``jobs`` worker processes, each
+    forked once per :meth:`run` and reused for trace after trace (fork,
+    bootstrap and a cold heap are paid once per worker, not per trace).
+    Either way results come back in input order and are bit-identical to
+    serial runs — workers run the same pipeline on the same options.
 
-    ``timeout`` (seconds of wall clock per attempt) bounds each worker;
-    an attempt that exceeds it is killed.  Killed or crashed attempts are
+    ``timeout`` (seconds of wall clock per attempt) bounds each attempt;
+    a worker that exceeds it is killed.  Killed or crashed attempts are
     retried up to ``retries`` times with exponential backoff
     (``backoff * 2**attempt`` seconds between attempts) before the trace
-    is reported as a failure row.  Setting a timeout forces the
+    is reported as a failure row; a killed or dead worker is replaced,
+    and no worker outlives :meth:`run`.  Setting a timeout forces the
     process-based path even for ``jobs=1`` — killing a hung extraction
     requires a separate process.
 
-    ``journal`` names a :class:`~repro.resilience.journal.RunJournal`
-    file: every finished trace appends one durable line the moment its
-    outcome is known (not at the end of the run), so a batch killed at
-    any point — including ``kill -9`` of the scheduler — can be resumed
-    with ``resume=True``: traces with a "done" line are replayed as
-    ``resumed`` rows without re-extraction, everything else runs.
+    With a ``cache``, each clean summary is stored the moment its trace
+    finishes.  ``journal`` names a
+    :class:`~repro.resilience.journal.RunJournal` file: every finished
+    trace appends one durable line the moment its outcome is known (not
+    at the end of the run, and after its cache entry), so a batch killed
+    at any point — including ``kill -9`` of the scheduler — can be
+    resumed with ``resume=True``: traces with a "done" line are replayed
+    as ``resumed`` rows without re-extraction, everything else runs.
 
     ``worker`` is the per-trace job body: a module-level callable
     ``(source, option_fields) -> (ok, payload, error, seconds)`` that
@@ -659,18 +700,23 @@ class BatchExtractor:
     def _run_processes(self, sources: List[BatchSource],
                        pending: List[int], option_fields: dict,
                        on_outcome=None) -> Dict[int, tuple]:
-        """Run pending extractions in worker processes.
+        """Run pending extractions in long-lived worker processes.
 
-        Maintains up to ``jobs`` live workers, each with its own result
-        pipe and deadline.  Returns ``{index: (ok, summary, error,
-        seconds, timed_out, attempts)}``.  ``on_outcome(index, outcome)``
-        fires the moment a trace's final outcome is known — the journal
-        hook, so durability does not wait for the batch to finish.
+        Starts up to ``jobs`` workers, each forked once (inheriting
+        ``sources`` and the job body) and fed attempt indexes over its
+        pipe; every attempt has its own deadline.  A worker is replaced
+        only when it dies (mid-attempt: a ``WorkerCrash``; while idle:
+        nothing charged) or overruns a deadline (killed: a ``Timeout``).
+        Returns ``{index: (ok, summary, error, seconds, timed_out,
+        attempts)}``.  ``on_outcome(index, outcome)`` fires the moment a
+        trace's final outcome is known — the cache and journal hook, so
+        durability does not wait for the batch to finish.  Every worker
+        is stopped and joined before this returns or raises.
         """
         ctx = _mp.get_context()
         waiting: Deque[Tuple[int, int]] = deque((i, 0) for i in pending)
         delayed: List[Tuple[float, int, int]] = []  # (not_before, idx, attempt)
-        active: Dict[object, Tuple[int, int, Optional[float], object, float]] = {}
+        workers: List[_Worker] = []
         outcomes: Dict[int, tuple] = {}
 
         def finish(i: int, attempt: int, ok: bool, summary: dict,
@@ -687,81 +733,108 @@ class BatchExtractor:
             else:
                 finish(i, attempt, False, {}, error, seconds, timed_out)
 
-        def reap(proc, parent) -> None:
-            proc.join()
-            parent.close()
-            del active[proc]
+        def reap(w: _Worker) -> None:
+            workers.remove(w)
+            w.proc.join()
+            w.conn.close()
 
-        while waiting or delayed or active:
-            now = _time.monotonic()  # repro-lint: disable=DET001 reason=retry/timeout scheduling, not result data
-            for item in [d for d in delayed if d[0] <= now]:
-                delayed.remove(item)
-                waiting.append((item[1], item[2]))
-
-            while waiting and len(active) < self.jobs:
-                i, attempt = waiting.popleft()
-                parent, child = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_pipe_worker,
-                    args=(child, self.worker, sources[i], option_fields),
-                    daemon=True,
-                )
-                try:
-                    proc.start()
-                except Exception as exc:  # unpicklable source, fork failure
-                    parent.close()
-                    child.close()
-                    finish(i, attempt, False, {},
-                           f"{type(exc).__name__}: {exc}", 0.0, False)
-                    continue
+        def idle_worker() -> Optional[_Worker]:
+            """A live idle worker, or a new one while fewer than ``jobs``
+            are up (None when every slot is busy)."""
+            for w in [w for w in workers if w.job is None]:
+                if w.proc.is_alive():
+                    return w
+                reap(w)  # died while idle: nothing to charge
+            if len(workers) >= self.jobs:
+                return None
+            parent, child = ctx.Pipe()
+            proc = ctx.Process(
+                target=_serve_attempts,
+                args=(child, self.worker, sources, option_fields),
+                daemon=True,
+            )
+            try:
+                proc.start()
+            except Exception:
+                parent.close()
+                raise
+            finally:
                 child.close()
-                started = _time.monotonic()  # repro-lint: disable=DET001 reason=worker deadline bookkeeping, not result data
-                deadline = (None if self.timeout is None
-                            else started + self.timeout)
-                active[proc] = (i, attempt, deadline, parent, started)
+            workers.append(_Worker(proc, parent))
+            return workers[-1]
 
-            if not active:
-                if delayed:  # backing off: sleep until the nearest retry
+        try:
+            while (waiting or delayed
+                   or any(w.job is not None for w in workers)):
+                now = _time.monotonic()  # repro-lint: disable=DET001 reason=retry/timeout scheduling, not result data
+                for item in [d for d in delayed if d[0] <= now]:
+                    delayed.remove(item)
+                    waiting.append((item[1], item[2]))
+
+                while waiting:
+                    i, attempt = waiting[0]
+                    try:
+                        w = idle_worker()
+                    except Exception as exc:  # fork failure, unpicklable job
+                        waiting.popleft()
+                        finish(i, attempt, False, {},
+                               f"{type(exc).__name__}: {exc}", 0.0, False)
+                        continue
+                    if w is None:
+                        break
+                    waiting.popleft()
+                    started = _time.monotonic()  # repro-lint: disable=DET001 reason=worker deadline bookkeeping, not result data
+                    w.job = (i, attempt, (None if self.timeout is None
+                                          else started + self.timeout),
+                             started)
+                    try:
+                        w.conn.send(i)
+                    except OSError:
+                        pass  # died since the check above: a crash, below
+
+                busy = [w for w in workers if w.job is not None]
+                if busy:
+                    _mp_connection.wait(
+                        [w.conn for w in busy]
+                        + [w.proc.sentinel for w in workers], timeout=0.05)
+                elif delayed:  # backing off: sleep until the nearest retry
                     pause = min(d[0] for d in delayed) - _time.monotonic()  # repro-lint: disable=DET001 reason=backoff sleep sizing, not result data
                     if pause > 0:
                         _time.sleep(min(pause, 0.05))
-                continue
 
-            _mp_connection.wait([rec[3] for rec in active.values()],
-                                timeout=0.05)
-            for proc in list(active):
-                i, attempt, deadline, parent, started = active[proc]
-                elapsed = _time.monotonic() - started  # repro-lint: disable=DET001 reason=worker timeout accounting, not result data
-                alive = proc.is_alive()
-                outcome = None
-                if parent.poll():  # result arrived (maybe just before death)
-                    try:
-                        outcome = parent.recv()
-                    except (EOFError, OSError):
-                        outcome = None
-                if outcome is not None:
-                    reap(proc, parent)
-                    ok, summary, error, seconds = outcome
-                    finish(i, attempt, ok, summary, error, seconds, False)
-                elif not alive:
-                    code = proc.exitcode
-                    reap(proc, parent)
-                    retry_or_fail(
-                        i, attempt,
-                        f"WorkerCrash: worker exited with code {code} "
-                        f"before returning a result", elapsed, False)
-                elif deadline is not None and _time.monotonic() > deadline:  # repro-lint: disable=DET001 reason=worker timeout accounting, not result data
-                    proc.terminate()
-                    proc.join(1.0)
-                    if proc.is_alive():
-                        proc.kill()
-                        proc.join()
-                    parent.close()
-                    del active[proc]
-                    retry_or_fail(
-                        i, attempt,
-                        f"Timeout: attempt {attempt + 1} exceeded "
-                        f"{self.timeout:g}s wall clock", elapsed, True)
+                now = _time.monotonic()  # repro-lint: disable=DET001 reason=worker timeout accounting, not result data
+                for w in list(workers):
+                    outcome = None
+                    if w.job is not None and w.conn.poll():
+                        try:  # a result may arrive just before death
+                            outcome = w.conn.recv()
+                        except (EOFError, OSError):
+                            outcome = None
+                    if outcome is not None:
+                        i, attempt = w.job[:2]
+                        w.job = None
+                        finish(i, attempt, *outcome, False)
+                    elif not w.proc.is_alive():
+                        reap(w)
+                        if w.job is not None:
+                            i, attempt, _, started = w.job
+                            retry_or_fail(
+                                i, attempt,
+                                f"WorkerCrash: worker exited with code "
+                                f"{w.proc.exitcode} before returning a "
+                                f"result", now - started, False)
+                    elif (w.job is not None and w.job[2] is not None
+                          and now > w.job[2]):
+                        workers.remove(w)
+                        _stop_workers([w])
+                        i, attempt, _, started = w.job
+                        retry_or_fail(
+                            i, attempt,
+                            f"Timeout: attempt {attempt + 1} exceeded "
+                            f"{self.timeout:g}s wall clock", now - started,
+                            True)
+        finally:
+            _stop_workers(workers)
         return outcomes
 
     def run(self, sources: Sequence[BatchSource]) -> BatchReport:
@@ -820,10 +893,15 @@ class BatchExtractor:
                             continue
                 pending.append(i)
 
-            def journal_outcome(i: int, outcome: tuple) -> None:
+            def record_outcome(i: int, outcome: tuple) -> None:
+                """Cache a clean summary, then journal the outcome."""
+                ok, summary, error, seconds, timed_out, attempts = outcome
+                if (ok and i in keys and not summary.get(
+                        "degradation", {}).get("degraded")):
+                    self.cache.put(keys[i],
+                                   json.dumps(summary, sort_keys=True).encode())
                 if journal is None:
                     return
-                ok, summary, error, seconds, timed_out, attempts = outcome
                 digest = digests.get(i, "")
                 if not digest:
                     return
@@ -840,13 +918,13 @@ class BatchExtractor:
             if use_processes:
                 outcomes = self._run_processes(sources, pending,
                                                option_fields,
-                                               on_outcome=journal_outcome)
+                                               on_outcome=record_outcome)
             else:
                 outcomes = {}
                 for i in pending:
                     outcome = self.worker(sources[i], option_fields) + (False, 1)
                     outcomes[i] = outcome
-                    journal_outcome(i, outcome)
+                    record_outcome(i, outcome)
         finally:
             if journal is not None:
                 journal.close()
@@ -855,10 +933,6 @@ class BatchExtractor:
             ok, summary, error, seconds, timed_out, attempts = outcomes[i]
             results[i] = BatchResult(labels[i], ok, seconds, summary, error,
                                      False, attempts, timed_out)
-            if (ok and self.cache is not None and i in keys
-                    and not summary.get("degradation", {}).get("degraded")):
-                self.cache.put(keys[i],
-                               json.dumps(summary, sort_keys=True).encode())
 
         report = BatchReport(
             results=[r for r in results if r is not None],

@@ -26,6 +26,15 @@ from repro.trace.events import (
 )
 
 
+def _time_key(time, rid: int) -> Tuple[bool, float, int]:
+    """Sort key ``(time, id)`` in the order of the columns' ``np.lexsort``:
+    NaN after every number, and all NaNs tied, so they keep id order
+    (in a plain tuple key NaN compares false both ways)."""
+    if time != time:
+        return (True, 0.0, rid)
+    return (False, time, rid)
+
+
 class Trace:
     """A complete event trace with derived lookup indexes.
 
@@ -67,7 +76,7 @@ class Trace:
             if ev.execution != NO_ID:
                 self.events_by_execution[ev.execution].append(ev.id)
         for lst in self.events_by_execution:
-            lst.sort(key=lambda eid: (self.events[eid].time, eid))
+            lst.sort(key=lambda eid: _time_key(self.events[eid].time, eid))
 
         n_events = len(self.events)
         # A RECV event terminates exactly one message; a SEND event may
@@ -85,16 +94,17 @@ class Trace:
         for ex in self.executions:
             self.executions_by_chare[ex.chare].append(ex.id)
             self.executions_by_pe.setdefault(ex.pe, []).append(ex.id)
-        for lst in self.executions_by_chare.values():
-            lst.sort(key=lambda xid: (self.executions[xid].start, xid))
-        for lst in self.executions_by_pe.values():
-            lst.sort(key=lambda xid: (self.executions[xid].start, xid))
+        for lst in (*self.executions_by_chare.values(),
+                    *self.executions_by_pe.values()):
+            lst.sort(key=lambda xid: _time_key(self.executions[xid].start,
+                                               xid))
 
         self.idles_by_pe: Dict[int, List[IdleInterval]] = {pe: [] for pe in range(self.num_pes)}
         for idle in self.idles:
             self.idles_by_pe.setdefault(idle.pe, []).append(idle)
         for ilst in self.idles_by_pe.values():
-            ilst.sort(key=lambda iv: iv.start)
+            # Stable: equal starts keep idle order.
+            ilst.sort(key=lambda iv: _time_key(iv.start, 0))
 
     # ------------------------------------------------------------------
     # Convenience accessors

@@ -19,6 +19,8 @@ from repro.api import (
 )
 from repro.apps import jacobi2d, pdes
 
+pytestmark = pytest.mark.batch
+
 
 @pytest.fixture(scope="module")
 def trace_files(tmp_path_factory):
@@ -167,8 +169,8 @@ def test_per_shard_byte_quota_prunes_lru_within_shard(tmp_path):
 def test_forked_worker_imports_nothing_per_trace(trace_files):
     """Everything a worker needs is loaded by ``import repro.batch``,
     which the scheduler has done before it forks: reading and extracting
-    a trace imports no further module, since a forked worker would pay
-    that import again for every trace."""
+    a trace imports no further module, since each forked worker would
+    pay that import again (once per worker, for its first trace)."""
     script = textwrap.dedent("""
         import json, sys
         sys.path.insert(0, {src!r})

@@ -50,6 +50,7 @@ def _crashy(source, option_fields):
 # ---------------------------------------------------------------------------
 # Timeouts, retries, crash containment
 # ---------------------------------------------------------------------------
+@pytest.mark.batch
 def test_timeout_kills_and_reports(trace_file, monkeypatch):
     monkeypatch.setattr(batch_mod, "_extract_one", _sleepy)
     t0 = time.monotonic()
@@ -63,6 +64,7 @@ def test_timeout_kills_and_reports(trace_file, monkeypatch):
     assert not report.ok
 
 
+@pytest.mark.batch
 def test_timeout_retries_with_backoff(trace_file, monkeypatch):
     monkeypatch.setattr(batch_mod, "_extract_one", _sleepy)
     report = BatchExtractor(PipelineOptions(), timeout=0.3, retries=2,
@@ -71,6 +73,7 @@ def test_timeout_retries_with_backoff(trace_file, monkeypatch):
     assert not r.ok and r.timed_out and r.attempts == 3
 
 
+@pytest.mark.batch
 def test_timeout_does_not_stall_other_traces(trace_file, tmp_path,
                                              monkeypatch):
     # Acceptance: one hung worker is killed while the rest of the batch
@@ -93,6 +96,7 @@ def test_timeout_does_not_stall_other_traces(trace_file, tmp_path,
     assert report.results[1].ok
 
 
+@pytest.mark.batch
 def test_worker_crash_is_a_failure_row(trace_file, monkeypatch):
     monkeypatch.setattr(batch_mod, "_extract_one", _crashy)
     report = BatchExtractor(PipelineOptions(), timeout=30.0).run([trace_file])
@@ -101,6 +105,7 @@ def test_worker_crash_is_a_failure_row(trace_file, monkeypatch):
     assert "WorkerCrash" in r.error and "13" in r.error
 
 
+@pytest.mark.batch
 def test_crash_then_retry_succeeds(trace_file, tmp_path, monkeypatch):
     # First attempt crashes; the retry (flag file consumed) succeeds.
     flag = tmp_path / "crash-once"
@@ -120,11 +125,13 @@ def test_crash_then_retry_succeeds(trace_file, tmp_path, monkeypatch):
     assert r.ok and r.attempts == 2 and not r.timed_out
 
 
+@pytest.mark.batch
 def test_timeout_requires_positive_value():
     with pytest.raises(ValueError, match="timeout"):
         BatchExtractor(PipelineOptions(), timeout=0.0)
 
 
+@pytest.mark.batch
 def test_process_path_matches_serial(trace_file):
     serial = BatchExtractor(PipelineOptions()).run([trace_file])
     viaproc = BatchExtractor(PipelineOptions(),

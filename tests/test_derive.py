@@ -274,23 +274,14 @@ def test_inject_fault_equals_its_record_oracle(seed, kind, fault_seed,
                                        severity=severity))
 
 
-def fix_outcome(repair, nan_starts: bool):
+def fix_outcome(repair):
     """Report, digest and written bytes of a fix-mode repair, or the
-    type of what it raised.
-
-    With NaN execution starts the residual ``pe-overlap`` count is left
-    out: a derived trace orders NaN starts last in ``executions_by_pe``,
-    as every chunk-ingested trace does, where the record rebuild's
-    Python sort (NaN compares false both ways) left them in place.
-    """
+    type of what it raised."""
     try:
         fixed, report = repair()
     except Exception as exc:  # compared, not swallowed
         return "raised", type(exc).__name__
-    summary = report.to_dict()
-    if nan_starts:
-        summary["residual"].pop("pe-overlap", None)
-    return json.dumps(summary), trace_digest(fixed), written(fixed)
+    return json.dumps(report.to_dict()), trace_digest(fixed), written(fixed)
 
 
 @settings(max_examples=200, deadline=None)
@@ -300,17 +291,15 @@ def test_fix_repair_of_defective_traces_equals_its_record_oracle(raw):
     columnar form repairs exactly like the record oracle.  So does the
     object-backed form, up to the spelling of integer timestamps, which
     a derived trace writes as floats."""
-    nan_starts = any(math.isnan(x.start) for x in raw[2])
     trace = columnar(*raw)
-    assert fix_outcome(lambda: repair_trace(trace, mode="fix"), nan_starts) \
-        == fix_outcome(lambda: reference_repair_trace(trace), nan_starts)
+    assert fix_outcome(lambda: repair_trace(trace, mode="fix")) \
+        == fix_outcome(lambda: reference_repair_trace(trace))
     try:
         trace = Trace(raw[0], raw[1], [], *raw[2:])
     except (IndexError, KeyError):
         return
-    assert fix_outcome(lambda: repair_trace(trace, mode="fix"),
-                       nan_starts)[:2] == \
-        fix_outcome(lambda: reference_repair_trace(trace), nan_starts)[:2]
+    assert fix_outcome(lambda: repair_trace(trace, mode="fix"))[:2] == \
+        fix_outcome(lambda: reference_repair_trace(trace))[:2]
 
 
 # ----------------------------------------------------------------------

@@ -212,6 +212,45 @@ def test_pe_overlap_running_max_skips_nan_ends():
         ]
 
 
+NAN_TIMES = """\
+{"t": "header", "version": 1, "num_pes": 1, "metadata": {}}
+{"t": "entry", "id": 0, "name": "A::go", "ct": "A", "sdag": false, "ord": -1}
+{"t": "chare", "id": 0, "name": "A[0]", "arr": -1, "idx": [0], "rt": false, "pe": 0}
+{"t": "exec", "id": 0, "c": 0, "e": 0, "pe": 0, "s": NaN, "x": Infinity, "rv": -1}
+{"t": "exec", "id": 1, "c": 0, "e": 0, "pe": 0, "s": -Infinity, "x": NaN, "rv": -1}
+{"t": "exec", "id": 2, "c": 0, "e": 0, "pe": 0, "s": 1.0, "x": 2.0, "rv": -1}
+{"t": "event", "id": 0, "k": 0, "c": 0, "pe": 0, "tm": NaN, "ex": 2}
+{"t": "event", "id": 1, "k": 0, "c": 0, "pe": 0, "tm": 1.5, "ex": 2}
+{"t": "event", "id": 2, "k": 0, "c": 0, "pe": 0, "tm": NaN, "ex": 2}
+{"t": "event", "id": 3, "k": 0, "c": 0, "pe": 0, "tm": 1.2, "ex": 2}
+{"t": "idle", "pe": 0, "s": NaN, "x": 1.0}
+{"t": "idle", "pe": 0, "s": 0.5, "x": 1.0}
+{"t": "idle", "pe": 0, "s": NaN, "x": 2.0}
+"""
+
+
+def test_nan_times_index_alike_on_both_ingest_paths():
+    """Both trace forms sort NaN times last, NaNs in id order: executions
+    (nan, inf), (-inf, nan), (1, 2) on one PE index as [1, 2, 0] either
+    way, so detection reports the same (no) ``pe-overlap`` on each."""
+    eager = read_trace(io.StringIO(NAN_TIMES))
+    chunked = read_trace_chunked(io.StringIO(NAN_TIMES))
+    assert isinstance(chunked, ColumnarTrace)
+    assert not isinstance(eager, ColumnarTrace)
+    for trace in (eager, chunked):
+        assert trace.executions_by_pe == {0: [1, 2, 0]}
+        assert trace.executions_by_chare == {0: [1, 2, 0]}
+        assert trace.events_by_execution == [[], [], [3, 1, 0, 2]]
+        assert [(iv.start, iv.end) for iv in trace.idles_by_pe[0]][0] == \
+            (0.5, 1.0)
+        assert [iv.end for iv in trace.idles_by_pe[0]] == [1.0, 1.0, 2.0]
+        assert "pe-overlap" not in {v.invariant
+                                    for v in collect_trace_problems(trace)}
+    assert collect_trace_problems(eager) == collect_trace_problems(chunked)
+    assert_matches_oracle(eager, "eager")
+    assert_matches_oracle(chunked, "chunked")
+
+
 # ----------------------------------------------------------------------
 # An event whose owning-execution id is out of range
 # ----------------------------------------------------------------------
