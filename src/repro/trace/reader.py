@@ -21,26 +21,31 @@ Two readers share the format:
 Each chunk takes one of two paths.  The writer emits records in per-kind
 sections (header and registries, then all execs, all events, all messages,
 all idles), so a chunk holds at most one section per bulk kind plus
-registry lines.  The vectorized path splits the chunk at the first and
-last line that starts with each bulk kind's writer prefix, checks that
-these sections do not overlap, validates each one wholesale with a
-per-line regular expression of the writer's exact layout (JSON numbers in
-ASCII, event kinds 0/1), and parses it numerically at C speed (token
-stripping + one vectorized str→float64 pass).  Every line outside the
-sections must be blank or a registry line, which ``json.loads`` reads.
-Every chunk the writer produces takes this path, at any chunk size.
+registry lines.  The vectorized path works on the chunk's bytes as read:
+it splits the chunk at the first and last line that starts with each bulk
+kind's writer prefix, checks that these sections do not overlap,
+validates each one wholesale with a per-line regular expression of the
+writer's exact layout (JSON numbers in ASCII, event kinds 0/1), and parses
+it numerically at C speed: one ``bytes.translate`` blanks out the JSON
+punctuation, and ``np.loadtxt`` reads the value tokens straight into a
+float64 table with the same correctly rounded conversion as ``float()``.
+Every line outside the sections must be blank or a registry line, which
+``json.loads`` reads.  Every chunk the writer produces takes this path,
+at any chunk size.
 
 Anything else goes to the per-line ``json.loads`` slow path: kinds
 interleaved, foreign field order, a blank or CRLF line inside a section,
 numbers JSON rejects (leading zeros, non-ASCII digits), an event kind
-other than 0/1, malformed JSON, a torn final line.  It is correct but
-slower, and it produces the precise errors: a :class:`TraceFormatError`
-from the chunked reader carries the record ``kind``, the 1-based
-``line``, and the absolute byte ``offset`` of the offending line.
+other than 0/1, a field value of the wrong JSON type, text that is not
+UTF-8, malformed JSON, a torn final line.  It is correct but slower, and
+it produces the precise errors: a :class:`TraceFormatError` from the
+chunked reader carries the record ``kind``, the 1-based ``line``, and the
+absolute byte ``offset`` of the offending line.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from dataclasses import dataclass
@@ -88,7 +93,8 @@ def read_trace(path: Union[str, Path, IO[str]]) -> Trace:
     """Read a trace from ``path`` (a filesystem path or open text stream)."""
     if hasattr(path, "read"):
         return _read_stream(path)  # type: ignore[arg-type]
-    with open(path, "r", encoding="utf-8") as fh:
+    # surrogateescape defers a decoding error to the line that holds it.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return _read_stream(fh)
 
 
@@ -109,51 +115,50 @@ def _read_stream(fh: IO[str]) -> Trace:
         line = line.strip()
         if not line:
             continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"line {lineno}: invalid JSON: {exc}",
-                                   line=lineno) from exc
+        rec = _json_record(line, lineno)
         kind = rec.get("t")
-        if kind == "header":
-            header = rec
-        elif kind == "entry":
-            entries[rec["id"]] = EntryMethod(
-                rec["id"], rec["name"], rec.get("ct", ""), rec.get("sdag", False), rec.get("ord", -1)
-            )
-        elif kind == "array":
-            arrays[rec["id"]] = ChareArray(rec["id"], rec["name"], tuple(rec.get("shape", ())))
-        elif kind == "chare":
-            chares[rec["id"]] = Chare(
-                rec["id"],
-                rec["name"],
-                rec.get("arr", -1),
-                tuple(rec.get("idx", ())),
-                rec.get("rt", False),
-                rec.get("pe", 0),
-            )
-        elif kind == "exec":
-            executions[rec["id"]] = Execution(
-                rec["id"], rec["c"], rec["e"], rec["pe"], rec["s"], rec["x"], rec.get("rv", -1)
-            )
-        elif kind == "event":
-            _check_event_kind(rec["k"], lineno)
-            owner = rec.get("ex", -1)
-            events[rec["id"]] = DepEvent(
-                rec["id"], EventKind(rec["k"]), rec["c"], rec["pe"], rec["tm"], owner
-            )
-            if owner < -1 or owner >= len(executions):
-                suspect_owner[rec["id"]] = lineno
+        try:
+            if kind == "header":
+                header = rec
+            elif kind == "entry":
+                entries[rec["id"]] = EntryMethod(
+                    rec["id"], rec["name"], rec.get("ct", ""), rec.get("sdag", False), rec.get("ord", -1)
+                )
+            elif kind == "array":
+                arrays[rec["id"]] = ChareArray(rec["id"], rec["name"], tuple(rec.get("shape", ())))
+            elif kind == "chare":
+                chares[rec["id"]] = Chare(
+                    rec["id"],
+                    rec["name"],
+                    rec.get("arr", -1),
+                    tuple(rec.get("idx", ())),
+                    rec.get("rt", False),
+                    rec.get("pe", 0),
+                )
+            elif kind == "exec":
+                ex = Execution(*_bulk_values(rec, kind, lineno))
+                executions[ex.id] = ex
+            elif kind == "event":
+                ev_id, k, chare, pe, time, owner = _bulk_values(rec, kind, lineno)
+                _check_event_kind(k, lineno)
+                events[ev_id] = DepEvent(ev_id, EventKind(k), chare, pe, time, owner)
+                if owner < -1 or owner >= len(executions):
+                    suspect_owner[ev_id] = lineno
+                else:
+                    suspect_owner.pop(ev_id, None)
+            elif kind == "msg":
+                msg = Message(*_bulk_values(rec, kind, lineno))
+                messages[msg.id] = msg
+            elif kind == "idle":
+                idles.append(IdleInterval(*_bulk_values(rec, kind, lineno)))
             else:
-                suspect_owner.pop(rec["id"], None)
-        elif kind == "msg":
-            messages[rec["id"]] = Message(rec["id"], rec.get("s", -1), rec.get("r", -1))
-        elif kind == "idle":
-            idles.append(IdleInterval(rec["pe"], rec["s"], rec["x"]))
-        else:
-            raise TraceFormatError(f"line {lineno}: unknown record type {kind!r}",
-                                   kind=None if kind is None else str(kind),
-                                   line=lineno)
+                raise TraceFormatError(f"line {lineno}: unknown record type {kind!r}",
+                                       kind=None if kind is None else str(kind),
+                                       line=lineno)
+        except KeyError as exc:
+            raise TraceFormatError(
+                f"line {lineno}: {kind} record missing field {exc}",
+                kind=kind, line=lineno) from exc
 
     if header is None:
         raise TraceFormatError("missing header record")
@@ -182,14 +187,81 @@ def _read_stream(fh: IO[str]) -> Trace:
     )
 
 
-def _check_event_kind(value, line: int, offset: Optional[int] = None) -> None:
+def _where(line: int, offset: Optional[int]) -> str:
+    return f"line {line}" if offset is None else f"line {line} (byte {offset})"
+
+
+def _json_record(line, lineno: int, offset: Optional[int] = None) -> dict:
+    """``json.loads`` of one record line (str or bytes).  A line that is
+    not UTF-8, not JSON, or not a JSON object is a TraceFormatError."""
+    try:
+        if isinstance(line, str) and not line.isascii():
+            line.encode("utf-8")  # fails on a surrogate-escaped stray byte
+        rec = json.loads(line)
+    except (UnicodeDecodeError, UnicodeEncodeError) as exc:
+        raise TraceFormatError(
+            f"{_where(lineno, offset)}: not UTF-8 text: {exc}",
+            line=lineno, offset=offset) from exc
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(
+            f"{_where(lineno, offset)}: invalid JSON: {exc}",
+            line=lineno, offset=offset) from exc
+    if not isinstance(rec, dict):
+        raise TraceFormatError(
+            f"{_where(lineno, offset)}: record is not a JSON object",
+            line=lineno, offset=offset)
+    return rec
+
+
+#: Bulk record layouts: kind -> (keys in writer order, JSON type code per
+#: key, keys a record may omit).  Codes: "i" an integer, "f" any number,
+#: "k" an event kind (an integer; 0 or 1 is checked separately).  An
+#: omitted key reads as -1.
+_BULK = {
+    "event": (("id", "k", "c", "pe", "tm", "ex"), "ikiifi", ("ex",)),
+    "exec": (("id", "c", "e", "pe", "s", "x", "rv"), "iiiiffi", ("rv",)),
+    "msg": (("id", "s", "r"), "iii", ("s", "r")),
+    "idle": (("pe", "s", "x"), "iff", ()),
+}
+_BULK_KINDS = tuple(_BULK)
+#: Integer fields land in int64 columns: their values lie in [-2^63, 2^63).
+_INT64 = 1 << 63
+
+
+def _bulk_values(rec: dict, kind: str, line: int,
+                 offset: Optional[int] = None) -> tuple:
+    """Field values of a bulk record in writer order, omitted keys as -1.
+
+    A missing required key raises KeyError; a value whose JSON type the
+    field does not take (a bool, a string, null; a fraction or an
+    integer past int64 where an integer belongs) is a TraceFormatError.
+    """
+    keys, codes, optional = _BULK[kind]
+    values = tuple(rec.get(key, -1) if key in optional else rec[key]
+                   for key in keys)
+    for key, code, value in zip(keys, codes, values):
+        if code == "f":
+            if type(value) is int or type(value) is float:
+                continue
+            expected = "a number"
+        else:
+            if type(value) is int and -_INT64 <= value < _INT64:
+                continue
+            expected = "an int64 integer"
+        raise TraceFormatError(
+            f"{_where(line, offset)}: {kind} field {key!r} must be "
+            f"{expected}, got {json.dumps(value)}",
+            kind=kind, line=line, offset=offset)
+    return values
+
+
+def _check_event_kind(value: int, line: int,
+                      offset: Optional[int] = None) -> None:
     """Reject an event kind other than 0 (SEND) or 1 (RECV)."""
     if value not in (0, 1):
-        where = f"line {line}" if offset is None else \
-            f"line {line} (byte {offset})"
         raise TraceFormatError(
-            f"{where}: event kind {value!r} is not 0 (SEND) or 1 (RECV)",
-            kind="event", line=line, offset=offset)
+            f"{_where(line, offset)}: event kind {value!r} is not 0 (SEND) "
+            "or 1 (RECV)", kind="event", line=line, offset=offset)
 
 
 def _densify(records: Dict[int, object], label: str) -> list:
@@ -243,53 +315,53 @@ _INT_EXACT = 1 << 53
 
 
 class _TurboKind:
-    """Section recipe of one bulk kind: line pattern + token strip plan."""
+    """Section recipe of one bulk kind: line pattern + value columns."""
 
-    __slots__ = ("prefix", "tokens", "casts", "line")
+    __slots__ = ("prefix", "casts", "usecols", "line")
 
     def __init__(self, tag: str, keys, layout: str):
-        self.prefix = '{"t": "%s", "%s": ' % (tag, keys[0])
-        self.tokens = tuple(', "%s": ' % k for k in keys[1:])
+        self.prefix = b'{"t": "%s", "%s": ' % (tag.encode(), keys[0].encode())
         self.casts = layout.replace("k", "i")  # column dtype: int or float
+        # Blanked, a line is the tokens ``t TAG KEY0 VALUE0 KEY1 VALUE1 ..``:
+        # the values are tokens 3, 5, .., 1 + 2 * len(keys).
+        self.usecols = tuple(range(3, 2 + 2 * len(keys), 2))
         line = r'\{"t": "%s"' % tag + "".join(
             r', "%s": %s' % (k, _GRAMMAR[code]) for k, code in zip(keys, layout)
         ) + r"\}"
         # One writer line, ended by a newline or the end of the section.
-        # ``subn`` of this over a section leaves "" iff the section is
+        # ``subn`` of this over a section leaves b"" iff the section is
         # exactly a run of such lines — what ``(?:line\n)*(?:line\n?)?``
         # fullmatches, at a fraction of the backtracking cost.
-        self.line = re.compile(r"%s(?:\n|\Z)" % line)
+        self.line = re.compile(rb"%s(?:\n|\Z)" % line.encode())
 
 
 #: Per-kind section recipes, keyed like the builder's column families.
-_TURBO = {
-    "event": _TurboKind("event", ("id", "k", "c", "pe", "tm", "ex"), "ikiifi"),
-    "exec": _TurboKind("exec", ("id", "c", "e", "pe", "s", "x", "rv"),
-                       "iiiiffi"),
-    "msg": _TurboKind("msg", ("id", "s", "r"), "iii"),
-    "idle": _TurboKind("idle", ("pe", "s", "x"), "iff"),
-}
-_REGISTRY_PREFIXES = ('{"t": "header"', '{"t": "entry"', '{"t": "array"',
-                      '{"t": "chare"')
+_TURBO = {kind: _TurboKind(kind, keys, layout)
+          for kind, (keys, layout, _) in _BULK.items()}
+_REGISTRY_PREFIXES = (b'{"t": "header"', b'{"t": "entry"', b'{"t": "array"',
+                      b'{"t": "chare"')
 _REGISTRY_KINDS = ("header", "entry", "array", "chare")
+#: ``bytes.translate`` table that blanks out the JSON punctuation of a
+#: section line, leaving its keys and values as whitespace-split tokens.
+_BLANK_PUNCTUATION = bytes.maketrans(b'{}":,', b"     ")
 
 
-def _section_bounds(text: str, prefix: str):
+def _section_bounds(data: bytes, prefix: bytes):
     """``(start, end)`` of the span from the first to the last line of
-    ``text`` that starts with ``prefix`` (``end`` just past that line's
+    ``data`` that starts with ``prefix`` (``end`` just past that line's
     newline), or None when no line does."""
-    head = text.startswith(prefix)
-    last = text.rfind("\n" + prefix) + 1
+    head = data.startswith(prefix)
+    last = data.rfind(b"\n" + prefix) + 1
     if not (head or last):
         return None
-    first = 0 if head else text.find("\n" + prefix) + 1
-    end = text.find("\n", last) + 1
-    return first, end or len(text)
+    first = 0 if head else data.find(b"\n" + prefix) + 1
+    end = data.find(b"\n", last) + 1
+    return first, end or len(data)
 
 
-def _line_count(text: str) -> int:
-    """Lines in ``text``: each ends in a newline except possibly the last."""
-    return text.count("\n") + (not text.endswith("\n"))
+def _line_count(data: bytes) -> int:
+    """Lines in ``data``: each ends in a newline except possibly the last."""
+    return data.count(b"\n") + (not data.endswith(b"\n"))
 
 
 class _GrowColumn:
@@ -342,31 +414,26 @@ class _ChunkedBuilder:
         if not lines:
             return
         # One C-level join serves both the byte accounting and the
-        # whole-chunk text the fast paths scan.
+        # whole-chunk bytes the fast path scans.
         if isinstance(lines[0], bytes):
-            joined = b"".join(lines)
-            nbytes = len(joined)
-            try:
-                text = joined.decode("utf-8")
-            except UnicodeDecodeError:
-                text = None
+            data = b"".join(lines)
         else:
-            text = "".join(lines)
-            nbytes = len(text.encode("utf-8"))
+            data = "".join(lines).encode("utf-8")
         self.stats.chunks += 1
         self.stats.lines += len(lines)
-        self.stats.peak_chunk_bytes = max(self.stats.peak_chunk_bytes, nbytes)
-        if text is None or not self._feed_fast(text, len(lines)):
+        self.stats.peak_chunk_bytes = max(self.stats.peak_chunk_bytes,
+                                          len(data))
+        if not self._feed_fast(data, len(lines)):
             self.stats.slow_chunks += 1
             self._feed_slow(lines)
         self._lineno += len(lines)
-        self._offset += nbytes
+        self._offset += len(data)
 
     def _cols_of(self, kind: str):
         return {"event": self.ev, "exec": self.ex, "msg": self.msg,
                 "idle": self.idle}[kind]
 
-    def _feed_fast(self, text: str, nlines: int) -> bool:
+    def _feed_fast(self, data: bytes, nlines: int) -> bool:
         """Batched parse of a whole chunk; False to request the slow path
         (nothing is committed in that case).
 
@@ -375,14 +442,15 @@ class _ChunkedBuilder:
         — first to last line starting with the kind's writer prefix — is
         validated and parsed wholesale; every other line must be blank or
         a registry line.  Anything else (interleaved kinds, foreign field
-        order, a blank or CRLF line inside a section, a non-JSON number)
-        leaves the chunk to the slow path.
+        order, a blank or CRLF line inside a section, a non-JSON number,
+        a registry line that is not UTF-8) leaves the chunk to the slow
+        path.
         """
-        if _line_count(text) != nlines:
+        if _line_count(data) != nlines:
             return False  # line ends readlines() split on but we do not
         sections = []
         for kind, tk in _TURBO.items():
-            bounds = _section_bounds(text, tk.prefix)
+            bounds = _section_bounds(data, tk.prefix)
             if bounds is not None:
                 sections.append((*bounds, kind))
         sections.sort()
@@ -391,30 +459,28 @@ class _ChunkedBuilder:
         for start, end, _ in sections:
             if start < pos:
                 return False  # sections overlap: kinds are interleaved
-            gaps.append(text[pos:start])
+            gaps.append(data[pos:start])
             pos = end
-        gaps.append(text[pos:])
+        gaps.append(data[pos:])
         # Stage everything before committing so a failed section or
         # registry line cannot leave half a chunk behind for the slow path
         # to repeat.
         staged = []
         recs = 0
         for start, end, kind in sections:
-            section = text[start:end]
-            n = _line_count(section)
-            arrays = self._parse_single_kind(section, n, kind)
+            arrays = self._parse_single_kind(data[start:end], kind)
             if arrays is None:
                 return False
             staged.append((self._cols_of(kind), arrays))
-            recs += n
+            recs += len(arrays[0])
         # Sections start and end at line ends, so the gaps join into
         # whole lines.
-        rest = "".join(gaps).split("\n")
+        rest = b"".join(gaps).split(b"\n")
         if not rest[-1]:
             rest.pop()  # the empty string after the final newline
         registry = []
         for line in rest:
-            if not line.strip(" \t\r"):
+            if not line.strip(b" \t\r"):
                 continue  # blank
             if not line.startswith(_REGISTRY_PREFIXES):
                 return False
@@ -424,7 +490,7 @@ class _ChunkedBuilder:
                     return False
                 registry.append(self._registry_entry(rec))
             except (ValueError, KeyError, TypeError):
-                return False  # odd literal or registry field
+                return False  # odd literal, registry field or encoding
             recs += 1
         for cols, arrays in staged:
             for col, arr in zip(cols, arrays):
@@ -439,37 +505,33 @@ class _ChunkedBuilder:
                                             recs)
         return True
 
-    def _parse_single_kind(self, section: str, n: int, kind: str):
+    def _parse_single_kind(self, section: bytes, kind: str):
         """Validate + numerically parse one single-kind section.
 
         Returns the per-column arrays, or None when the section is not
-        exactly ``n`` writer-layout lines of ``kind`` (or holds numbers a
+        a run of writer-layout lines of ``kind`` (or holds numbers a
         float64 pass cannot carry exactly).
         """
         tk = _TURBO[kind]
-        if tk.line.subn("", section) != ("", n):
-            return None
-        stripped = section.replace(tk.prefix, "")
-        for token in tk.tokens:
-            stripped = stripped.replace(token, " ")
-        stripped = stripped.replace("}\n", "\n")
-        if stripped.endswith("}"):
-            stripped = stripped[:-1]
+        rest, n = tk.line.subn(b"", section)
+        if rest:
+            return None  # n counts the lines when the matches cover it all
         ncols = len(tk.casts)
         try:
-            # One vectorized str->float64 pass over the split tokens.
-            # (Replaces the deprecated ``np.fromstring(..., sep=" ")``;
-            # both parse with correctly-rounded strtod semantics, so the
-            # values are bit-identical — pinned by the chunk-size
-            # invariance twins.  fromstring silently stopped at a bad
-            # token and the size check below caught it; np.array raises
-            # instead, which lands on the same slow-path re-parse.)
-            flat = np.array(stripped.split(), dtype=np.float64)
+            # numpy's C text reader converts each value token with the
+            # correctly rounded ``PyOS_string_to_double`` that ``float()``
+            # and json.loads use, so values are bit-identical to the slow
+            # path; no per-token Python object is built.  A section holds
+            # at least one line, so loadtxt's empty-input warning cannot
+            # fire.
+            table = np.loadtxt(
+                io.BytesIO(section.translate(_BLANK_PUNCTUATION)),
+                dtype=np.float64, usecols=tk.usecols, comments=None,
+                ndmin=2)
         except ValueError:
-            return None  # token the vectorized parser rejected
-        if flat.size != n * ncols:
+            return None  # token the C reader rejected
+        if table.shape != (n, ncols):
             return None  # record layout the column count doesn't explain
-        table = flat.reshape(n, ncols)
         arrays = []
         for j, cast in enumerate(tk.casts):
             col = table[:, j]
@@ -489,10 +551,8 @@ class _ChunkedBuilder:
         Rows are staged per kind and committed in one flush, so the
         columns see the same per-kind append order as the fast path.
         """
-        ev_stage = tuple([] for _ in range(6))
-        ex_stage = tuple([] for _ in range(7))
-        msg_stage = tuple([] for _ in range(3))
-        idle_stage = tuple([] for _ in range(3))
+        stages = {kind: tuple([] for _ in keys)
+                  for kind, (keys, _, _) in _BULK.items()}
         lineno = self._lineno
         offset = self._offset
         recs = 0
@@ -502,35 +562,16 @@ class _ChunkedBuilder:
             if not stripped:
                 offset += _byte_len(raw)
                 continue
-            try:
-                rec = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(
-                    f"line {lineno} (byte {offset}): invalid JSON: {exc}",
-                    line=lineno, offset=offset,
-                ) from exc
+            rec = _json_record(stripped, lineno, offset)
             kind = rec.get("t")
             try:
-                if kind == "event":
-                    values = (rec["id"], rec["k"], rec["c"], rec["pe"],
-                              rec["tm"], rec.get("ex", -1))
-                    _check_event_kind(values[1], lineno, offset)
-                    for stage, value in zip(ev_stage, values):
+                if kind in _BULK_KINDS:  # equality only: kind may be a list
+                    values = _bulk_values(rec, kind, lineno, offset)
+                    if kind == "event":
+                        _check_event_kind(values[1], lineno, offset)
+                    for stage, value in zip(stages[kind], values):
                         stage.append(value)
-                elif kind == "exec":
-                    for stage, value in zip(ex_stage, (
-                            rec["id"], rec["c"], rec["e"], rec["pe"],
-                            rec["s"], rec["x"], rec.get("rv", -1))):
-                        stage.append(value)
-                elif kind == "msg":
-                    for stage, value in zip(msg_stage, (
-                            rec["id"], rec.get("s", -1), rec.get("r", -1))):
-                        stage.append(value)
-                elif kind == "idle":
-                    for stage, value in zip(idle_stage, (
-                            rec["pe"], rec["s"], rec["x"])):
-                        stage.append(value)
-                elif kind in ("header", "entry", "array", "chare"):
+                elif kind in _REGISTRY_KINDS:
                     self._registry(rec)
                 else:
                     raise TraceFormatError(
@@ -547,10 +588,9 @@ class _ChunkedBuilder:
                 ) from exc
             recs += 1
             offset += _byte_len(raw)
-        for cols, stages in ((self.ev, ev_stage), (self.ex, ex_stage),
-                             (self.msg, msg_stage), (self.idle, idle_stage)):
-            for col, stage in zip(cols, stages):
-                col.extend(stage)
+        for kind, stage in stages.items():
+            for col, values in zip(self._cols_of(kind), stage):
+                col.extend(values)
         self.stats.records += recs
         self.stats.peak_chunk_records = max(self.stats.peak_chunk_records,
                                             recs)

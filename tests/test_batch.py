@@ -42,7 +42,7 @@ def test_digest_content_keyed(trace_files, tmp_path):
     assert d1 != trace_digest(trace_files[1])
     # The key is the bytes, not the path.
     copy = tmp_path / "renamed.jsonl"
-    copy.write_bytes(open(trace_files[0], "rb").read())
+    copy.write_bytes(Path(trace_files[0]).read_bytes())
     assert trace_digest(str(copy)) == d1
 
 

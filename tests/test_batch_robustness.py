@@ -12,6 +12,7 @@ import json
 import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -89,7 +90,7 @@ def test_timeout_does_not_stall_other_traces(trace_file, tmp_path,
 
     monkeypatch.setattr(batch_mod, "_extract_one", hang_one)
     other = tmp_path / "other.jsonl"
-    other.write_bytes(open(trace_file, "rb").read())
+    other.write_bytes(Path(trace_file).read_bytes())
     report = BatchExtractor(PipelineOptions(), jobs=2,
                             timeout=1.0).run([trace_file, str(other)])
     assert not report.results[0].ok and report.results[0].timed_out

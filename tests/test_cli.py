@@ -157,13 +157,16 @@ TRACE_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("damage", ["missing", "malformed"])
+@pytest.mark.parametrize("damage", ["missing", "malformed", "not_utf8"])
 @pytest.mark.parametrize("command", sorted(TRACE_COMMANDS))
 def test_unreadable_trace_is_a_usage_error(command, damage, trace_file,
                                            tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     if damage == "malformed":
         bad.write_text("garbage\n")
+    elif damage == "not_utf8":  # a chare name holding a stray 0xff byte
+        bad.write_bytes(trace_file.read_bytes().replace(
+            b'"name": "Jacobi', b'"name": "\xffJacobi', 1))
     paths = [str(trace_file), str(bad)] if command == "diff" else [str(bad)]
     extra = [str(tmp_path / a) if a.endswith(".jsonl") else a
              for a in TRACE_COMMANDS[command]]

@@ -19,8 +19,12 @@ import io
 import json
 import pickle
 import random
+import struct
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import PipelineOptions, extract
 from repro.apps import (
@@ -35,7 +39,15 @@ from repro.apps import (
     sssp,
 )
 from repro.batch import trace_digest
-from repro.trace.columns import ColumnarTrace
+from repro.trace.columns import ColumnarTrace, TraceColumns
+from repro.trace.events import (
+    Chare,
+    DepEvent,
+    EventKind,
+    Execution,
+    IdleInterval,
+    Message,
+)
 from repro.trace.faults import FAULT_KINDS, inject_fault
 from repro.trace.model import Trace
 from repro.trace.reader import (
@@ -153,6 +165,95 @@ def test_chunk_size_invariance(chunk_bytes, tmp_path):
     path = _write(APPS["jacobi2d"](), tmp_path)
     eager = read_trace(path)
     assert_traces_equal(eager, read_writer_output(path, chunk_bytes))
+
+
+# ---------------------------------------------------------------------------
+# Parser exactness: the sectioned parser reads every float64 and every
+# float64-exact integer the writer can emit to the same bits as json.loads.
+# ---------------------------------------------------------------------------
+_EXACT = (1 << 53) - 1
+
+#: Any float64 bit pattern (NaN payloads collapse to the writer's "NaN"),
+#: plus the edges a uniform draw rarely hits.
+_floats = st.one_of(
+    st.integers(0, (1 << 64) - 1).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.floats(allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, 0.1 + 0.2, float("inf"),
+                     float("-inf"), float("nan")]),
+)
+_ints = st.integers(-_EXACT, _EXACT)
+_wide_ints = st.one_of(st.integers(1 << 53, (1 << 63) - 1),
+                       st.integers(-(1 << 63), -(1 << 53)))
+
+
+@st.composite
+def _writer_traces(draw, ints):
+    """A trace of random field values that ``write_trace`` lays out in
+    writer sections and ``read_trace`` accepts: owner and message ids
+    index existing records, every other integer field is any of ``ints``
+    and every time is any of ``_floats``."""
+    n_chares = draw(st.integers(1, 3))
+    chares = [Chare(i, f"c{i}") for i in range(n_chares)]
+    executions = [
+        Execution(i, draw(st.integers(0, n_chares - 1)), draw(ints),
+                  draw(ints), draw(_floats), draw(_floats), draw(ints))
+        for i in range(draw(st.integers(0, 6)))]
+    owner = st.integers(-1, len(executions) - 1)
+    events = [
+        DepEvent(i, EventKind(draw(st.integers(0, 1))), draw(ints),
+                 draw(ints), draw(_floats), draw(owner))
+        for i in range(draw(st.integers(1, 8)))]
+    event_id = st.integers(-1, len(events) - 1)
+    messages = [Message(i, draw(event_id), draw(event_id))
+                for i in range(draw(st.integers(0, 6)))]
+    idles = [IdleInterval(draw(ints), draw(_floats), draw(_floats))
+             for _ in range(draw(st.integers(0, 4)))]
+    return Trace(chares=chares, entries=[], arrays=[], executions=executions,
+                 events=events, messages=messages, idles=idles, num_pes=2)
+
+
+def _read_both(trace: Trace, chunk_bytes: int):
+    buf = io.StringIO()
+    write_trace(trace, buf)
+    text = buf.getvalue()
+    stats = ReaderStats()
+    chunked = read_trace_chunked(io.BytesIO(text.encode()),
+                                 chunk_bytes=chunk_bytes, stats=stats)
+    return read_trace(io.StringIO(text)), chunked, stats
+
+
+def _assert_columns_identical(eager: Trace, chunked: ColumnarTrace) -> None:
+    expected = TraceColumns.of(eager)
+    for name in TraceColumns.__slots__:
+        if name.startswith("_"):
+            continue  # a lazily derived cache, not a column
+        want, got = getattr(expected, name), getattr(chunked.columns, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace=_writer_traces(_ints),
+       chunk_bytes=st.sampled_from([64, 4096, DEFAULT_CHUNK_BYTES]))
+def test_sectioned_parse_is_bit_exact(trace, chunk_bytes):
+    """Subnormals, -0.0, 17-digit reprs, +-Infinity, NaN and integers up
+    to 2^53 - 1 in magnitude take the vectorized path and read to the
+    same column bits as the eager reader."""
+    eager, chunked, stats = _read_both(trace, chunk_bytes)
+    assert stats.slow_chunks == 0
+    _assert_columns_identical(eager, chunked)
+
+
+@settings(max_examples=50, deadline=None)
+@given(trace=_writer_traces(_wide_ints),
+       chunk_bytes=st.sampled_from([64, DEFAULT_CHUNK_BYTES]))
+def test_integers_past_float64_read_exactly(trace, chunk_bytes):
+    """Integers at or beyond 2^53 cannot pass through float64; whichever
+    path reads them, the columns still equal the eager reader's."""
+    eager, chunked, _ = _read_both(trace, chunk_bytes)
+    _assert_columns_identical(eager, chunked)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +426,7 @@ def test_unknown_kind_reports_line_and_offset(chunk_bytes, tmp_path):
 @pytest.mark.parametrize("chunk_bytes", [64, DEFAULT_CHUNK_BYTES])
 def test_torn_final_line_is_an_error(chunk_bytes, tmp_path):
     path = _write(APPS["jacobi2d"](), tmp_path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     torn = tmp_path / "torn.jsonl"
     torn.write_bytes(blob[:-9])  # truncate inside the final record
     with pytest.raises(TraceFormatError):
@@ -398,6 +499,81 @@ def test_missing_field_is_an_error(tmp_path):
     assert exc.value.kind == "event"
 
 
+@pytest.mark.parametrize("chunk_bytes", [64, DEFAULT_CHUNK_BYTES])
+@pytest.mark.parametrize("kind, field, bad", [
+    ("exec", "id", "1.5"),
+    ("exec", "s", '"1"'),
+    ("event", "tm", '"1"'),
+    ("event", "ex", "null"),
+    ("event", "k", "true"),
+    ("event", "c", "9223372036854775808"),  # 2^63: past the int64 column
+    ("msg", "r", "false"),
+    ("idle", "x", "[1]"),
+])
+def test_wrong_typed_values_are_an_error(kind, field, bad, chunk_bytes,
+                                         tmp_path):
+    """Integer fields take JSON integers (not booleans), number fields
+    integers or floats; anything else is a format error in both readers,
+    never a silent cast or a bare TypeError."""
+    path, line, offset = _corrupt_first(_write(APPS["jacobi2d"](), tmp_path),
+                                        tmp_path, kind, field, bad)
+    message = f"{kind} field '{field}' must be"
+    with pytest.raises(TraceFormatError, match=message) as eager:
+        read_trace(path)
+    assert (eager.value.kind, eager.value.line) == (kind, line)
+    with pytest.raises(TraceFormatError, match=message) as exc:
+        read_trace_chunked(path, chunk_bytes=chunk_bytes)
+    assert (exc.value.kind, exc.value.line) == (kind, line)
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, DEFAULT_CHUNK_BYTES])
+@pytest.mark.parametrize("kind, field", [
+    ("event", "tm"), ("exec", "x"), ("msg", "id"), ("idle", "pe"),
+])
+def test_missing_field_is_an_error_in_both_readers(kind, field, chunk_bytes,
+                                                   tmp_path):
+    lines = _lines_of(_write(APPS["jacobi2d"](), tmp_path))
+    victim = next(i for i, ln in enumerate(lines) if _kind_of(ln) == kind)
+    rec = json.loads(lines[victim])
+    del rec[field]
+    lines[victim] = json.dumps(rec).encode() + b"\n"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"".join(lines))
+    with pytest.raises(TraceFormatError, match="missing field") as eager:
+        read_trace(bad)
+    assert (eager.value.kind, eager.value.line) == (kind, victim + 1)
+    with pytest.raises(TraceFormatError, match="missing field") as exc:
+        read_trace_chunked(bad, chunk_bytes=chunk_bytes)
+    assert (exc.value.kind, exc.value.line) == (kind, victim + 1)
+    assert exc.value.offset == sum(len(ln) for ln in lines[:victim])
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, DEFAULT_CHUNK_BYTES])
+@pytest.mark.parametrize("damage, message", [
+    ("not_utf8", "not UTF-8"),
+    ("not_object", "not a JSON object"),
+])
+def test_undecodable_line_is_an_error(damage, message, chunk_bytes, tmp_path):
+    """A chare name holding a byte that is not UTF-8, or a line that is
+    JSON but no object, is a format error naming the line."""
+    lines = _lines_of(_write(APPS["jacobi2d"](), tmp_path))
+    victim = next(i for i, ln in enumerate(lines) if _kind_of(ln) == "chare")
+    if damage == "not_utf8":
+        lines[victim] = lines[victim].replace(b'"name": "', b'"name": "\xff')
+    else:
+        lines.insert(victim, b"[1, 2]\n")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"".join(lines))
+    with pytest.raises(TraceFormatError, match=message) as eager:
+        read_trace(bad)
+    assert eager.value.line == victim + 1
+    with pytest.raises(TraceFormatError, match=message) as exc:
+        read_trace_chunked(bad, chunk_bytes=chunk_bytes)
+    assert exc.value.line == victim + 1
+    assert exc.value.offset == sum(len(ln) for ln in lines[:victim])
+
+
 def test_non_dense_ids_are_an_error(tmp_path):
     path = _write(APPS["jacobi2d"](), tmp_path)
     lines = [ln for ln in _lines_of(path)
@@ -437,7 +613,7 @@ def test_open_trace_memory_preserves_identity():
 def test_open_trace_stream_consumed_once(tmp_path):
     trace = APPS["jacobi2d"]()
     path = _write(trace, tmp_path)
-    stream = io.StringIO(open(path).read())
+    stream = io.StringIO(Path(path).read_text(encoding="utf-8"))
     src = open_trace(stream)
     assert isinstance(src, StreamTraceSource)
     first = src.trace()
